@@ -26,6 +26,7 @@ let () =
       ("comm-check", Test_comm_check.suite);
       ("extrapolate", Test_extrapolate.suite);
       ("core", Test_core.suite);
+      ("golden", Test_golden.suite);
       ("store", Test_store.suite);
       ("ledger", Test_ledger.suite);
       ("sweep", Test_sweep.suite);
