@@ -90,8 +90,9 @@ let ablate_cluster_threshold () =
     List.map
       (fun threshold ->
         let s = Pipeline.spec ~cluster_threshold:threshold ~workload ~nranks () in
-        let traced = Pipeline.trace s in
-        let art = Pipeline.synthesize traced in
+        let ts = Pipeline.trace_stage s in
+        let traced = Option.get ts.Pipeline.ts_traced in
+        let art = Pipeline.synthesize ts in
         let row = Evaluate.table3_row art in
         let ct = Recorder.compute_table traced.Pipeline.recorder in
         [
@@ -143,7 +144,8 @@ let ablate_main_clustering () =
 let ablate_loop_constraint () =
   heading "Ablation 5: the QP loop-overhead constraint x11 >= sum(x1..x9)";
   let s = Pipeline.spec ~workload ~nranks () in
-  let traced = Pipeline.trace s in
+  let ts = Pipeline.trace_stage s in
+  let traced = Option.get ts.Pipeline.ts_traced in
   let ct = Recorder.compute_table traced.Pipeline.recorder in
   let platform = s.Pipeline.platform in
   let stats loop_constraint =

@@ -25,8 +25,9 @@ module Counters = Siesta_perf.Counters
 
 let prepare () =
   let s = Pipeline.spec ~workload:"CG" ~nranks:16 () in
-  let traced = Pipeline.trace s in
-  let art = Pipeline.synthesize traced in
+  let ts = Pipeline.trace_stage s in
+  let traced = Option.get ts.Pipeline.ts_traced in
+  let art = Pipeline.synthesize ts in
   let seq =
     let streams = Array.init 16 (Recorder.events traced.Pipeline.recorder) in
     let table = Siesta_merge.Terminal_table.build streams in

@@ -25,11 +25,12 @@ type row = {
 let run_one (w : Registry.t) nranks =
   let s = Pipeline.spec ~workload:w.Registry.name ~nranks () in
   let platform = s.Pipeline.platform and impl = s.Pipeline.impl in
-  let traced = Pipeline.trace s in
+  let ts = Pipeline.trace_stage s in
+  let traced = Option.get ts.Pipeline.ts_traced in
   let original = traced.Pipeline.original.Engine.elapsed in
-  let art = Pipeline.synthesize traced in
+  let art = Pipeline.synthesize ts in
   let siesta = (Pipeline.run_proxy art ~platform ~impl).Engine.elapsed in
-  let art10 = Pipeline.synthesize ~factor:scale_factor traced in
+  let art10 = Pipeline.synthesize ~factor:scale_factor ts in
   let siesta_scaled =
     scale_factor *. (Pipeline.run_proxy art10 ~platform ~impl).Engine.elapsed
   in
@@ -46,7 +47,7 @@ let run_one (w : Registry.t) nranks =
         None
   in
   let pilgrim =
-    (Engine.run ~platform ~impl ~nranks (Pilgrim.program art.Pipeline.merged)).Engine.elapsed
+    (Engine.run ~platform ~impl ~nranks (Pilgrim.program art.Pipeline.sy_merged)).Engine.elapsed
   in
   { name = w.Registry.name; nranks; original; siesta; siesta_scaled; scalabench; pilgrim }
 

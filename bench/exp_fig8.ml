@@ -15,8 +15,9 @@ let direction ~from_p ~to_p label rows siesta_errs sb_errs =
     (fun name ->
       let s = Pipeline.spec ~platform:from_p ~workload:name ~nranks () in
       let impl = s.Pipeline.impl in
-      let traced = Pipeline.trace s in
-      let art = Pipeline.synthesize traced in
+      let ts = Pipeline.trace_stage s in
+      let traced = Option.get ts.Pipeline.ts_traced in
+      let art = Pipeline.synthesize ts in
       let recorder = traced.Pipeline.recorder in
       let streams = Array.init nranks (fun r -> Recorder.events recorder r) in
       let sb =

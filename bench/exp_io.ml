@@ -12,8 +12,9 @@ let nranks = 16
 let run () =
   heading "Extension: MPI-IO proxies (BT-IO, 16 processes, generated on A)";
   let s = Pipeline.spec ~workload:"BT-IO" ~nranks () in
-  let traced = Pipeline.trace s in
-  let art = Pipeline.synthesize traced in
+  let ts = Pipeline.trace_stage s in
+  let traced = Option.get ts.Pipeline.ts_traced in
+  let art = Pipeline.synthesize ts in
   let io_events =
     let recorder = traced.Pipeline.recorder in
     let count = ref 0 in
@@ -30,7 +31,7 @@ let run () =
     !count
   in
   Printf.printf "I/O events traced: %d | size_C: %s\n" io_events
-    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes art.Pipeline.proxy));
+    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes art.Pipeline.sy_proxy));
   let rows =
     List.map
       (fun platform ->

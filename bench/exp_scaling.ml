@@ -18,7 +18,8 @@ let run () =
         List.map
           (fun nranks ->
             let s = Pipeline.spec ~workload ~nranks () in
-            let traced = Pipeline.trace s in
+            let ts = Pipeline.trace_stage s in
+            let traced = Option.get ts.Pipeline.ts_traced in
             let streams =
               Array.init nranks (Recorder.events traced.Pipeline.recorder)
             in

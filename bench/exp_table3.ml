@@ -13,9 +13,7 @@ let run () =
       List.iter
         (fun procs ->
           let s = Pipeline.spec ~workload:w.Registry.name ~nranks:procs () in
-          let traced = Pipeline.trace s in
-          let art = Pipeline.synthesize traced in
-          let row = Evaluate.table3_row art in
+          let row = Evaluate.table3_row (Pipeline.synthesize_spec s) in
           rows :=
             [
               row.Evaluate.program;

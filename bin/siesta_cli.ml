@@ -154,6 +154,30 @@ let seed_arg =
   let doc = "Random seed (runs are deterministic per seed)." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
+(* The run spec shared by the workload subcommands, minus the rank
+   count: [at n] resolves it for [n] ranks, exiting 2 with a clean
+   message on an unknown workload or an invalid rank count. *)
+let spec_at_term ?(workload = workload_arg) () =
+  let make workload iters platform impl seed nranks =
+    match Pipeline.spec ?iters ~platform ~impl ~seed ~workload ~nranks () with
+    | s -> s
+    | exception Not_found ->
+        Printf.eprintf "unknown workload %S; try `siesta list`\n" workload;
+        exit 2
+    | exception Invalid_argument m ->
+        Printf.eprintf "%s\n" m;
+        exit 2
+  in
+  Term.(const make $ workload $ iters_arg $ platform_arg $ impl_arg $ seed_arg)
+
+(* The full run spec: workload (positional, or [-w] for diff), ranks,
+   iterations, platform, implementation and seed. *)
+let spec_term ?workload () =
+  Term.(const (fun at nranks -> at nranks) $ spec_at_term ?workload () $ nranks_arg)
+
+let factor_arg ?(doc = "Scaling factor for a shrunk proxy.") () =
+  Arg.(value & opt float 1.0 & info [ "factor" ] ~docv:"K" ~doc)
+
 let timeline_out_arg =
   let doc =
     "Write a per-rank $(i,simulated-clock) timeline of the original run as Chrome trace_event \
@@ -215,19 +239,20 @@ let cache_term =
   let make cache no_cache store_root = { cache = cache && not no_cache; store_root } in
   Term.(const make $ cache_arg $ no_cache_arg $ store_root_arg)
 
-let store_of_opts o = if o.cache then Some (Store.open_ ?root:o.store_root ()) else None
-
-(* Whenever a pipeline subcommand runs with the cache on, its store also
-   receives a run-ledger record.  Metrics are force-enabled so the
-   record's snapshot has content, and the run id is published as a
-   labeled metric tying the snapshot to the log/span streams. *)
-let with_ledger store =
-  Option.iter
-    (fun st ->
-      Obs_metrics.set_enabled true;
-      Run_id.publish ();
-      Ledger.set_sink (Some st))
-    store
+(* The store a pipeline subcommand runs against, [None] without
+   --cache.  With the cache on, the store also receives the run-ledger
+   record: metrics are force-enabled so the record's snapshot has
+   content, and the run id is published as a labeled metric tying the
+   snapshot to the log/span streams. *)
+let run_store o =
+  if not o.cache then None
+  else begin
+    let st = Store.open_ ?root:o.store_root () in
+    Obs_metrics.set_enabled true;
+    Run_id.publish ();
+    Ledger.set_sink (Some st);
+    Some st
+  end
 
 let print_cache_status (st : Pipeline.cache_status) =
   Option.iter
@@ -251,18 +276,6 @@ let print_merge_sched (sy : Pipeline.synthesis) =
         m.Pipeline.ms_effective m.Pipeline.ms_requested
         (if m.Pipeline.ms_clamped then ", clamped" else "")
         m.Pipeline.ms_inline_jobs m.Pipeline.ms_dispatched_jobs
-
-let spec_of workload nranks iters platform impl seed =
-  match
-    Pipeline.spec ?iters ~platform ~impl ~seed ~workload ~nranks ()
-  with
-  | s -> s
-  | exception Not_found ->
-      Printf.eprintf "unknown workload %S; try `siesta list`\n" workload;
-      exit 2
-  | exception Invalid_argument m ->
-      Printf.eprintf "%s\n" m;
-      exit 2
 
 (* --perturb tokens are validated by hand rather than with [Arg.enum] so
    an unknown token exits 2 naming itself (the same contract as a bad
@@ -311,17 +324,16 @@ let list_cmd =
     Term.(const run $ obs_term)
 
 let run_cmd =
-  let run obs workload nranks iters platform impl seed =
+  let run obs s =
     with_obs obs @@ fun () ->
-    let s = spec_of workload nranks iters platform impl seed in
+    let platform = s.Pipeline.platform and impl = s.Pipeline.impl in
     let res = Pipeline.run_original s ~platform ~impl in
-    Printf.printf "%s on %d ranks (platform %s, %s): %.4f s, %d MPI calls\n" workload nranks
-      platform.Spec.name impl.Mpi_impl.name res.Engine.elapsed res.Engine.total_calls
+    Printf.printf "%s on %d ranks (platform %s, %s): %.4f s, %d MPI calls\n"
+      s.Pipeline.workload.Registry.name s.Pipeline.nranks platform.Spec.name
+      impl.Mpi_impl.name res.Engine.elapsed res.Engine.total_calls
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a workload on the simulated MPI runtime")
-    Term.(
-      const run $ obs_term $ workload_arg $ nranks_arg $ iters_arg $ platform_arg $ impl_arg
-      $ seed_arg)
+    Term.(const run $ obs_term $ spec_term ())
 
 (* Recorder mode flag shared by the tracing subcommands.  Streamed (the
    default) interns events into SoA code buffers and builds per-rank
@@ -345,12 +357,10 @@ let trace_cmd =
     let doc = "Print an mpiP-style aggregate statistics report." in
     Arg.(value & flag & info [ "report" ] ~doc)
   in
-  let run obs workload nranks iters platform impl seed dump report boxed timeline_out
-      timeline_html cache_opts =
+  let run obs s dump report boxed timeline_out timeline_html cache_opts =
     with_obs obs @@ fun () ->
-    let s = spec_of workload nranks iters platform impl seed in
-    let store = store_of_opts cache_opts in
-    with_ledger store;
+    let workload = s.Pipeline.workload.Registry.name and nranks = s.Pipeline.nranks in
+    let store = run_store cache_opts in
     let ts =
       Pipeline.trace_stage ~cache:cache_opts.cache ?store ~mode:(mode_of_boxed boxed) s
     in
@@ -387,18 +397,13 @@ let trace_cmd =
   in
   Cmd.v (Cmd.info "trace" ~doc:"Execute a workload under the PMPI tracer")
     Term.(
-      const run $ obs_term $ workload_arg $ nranks_arg $ iters_arg $ platform_arg $ impl_arg
-      $ seed_arg $ dump_arg $ report_arg $ boxed_trace_arg $ timeline_out_arg
-      $ timeline_html_arg $ cache_term)
+      const run $ obs_term $ spec_term () $ dump_arg $ report_arg $ boxed_trace_arg
+      $ timeline_out_arg $ timeline_html_arg $ cache_term)
 
 let synth_cmd =
   let output_arg =
     let doc = "Write the generated C proxy-app to $(docv)." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
-  in
-  let factor_arg =
-    let doc = "Scaling factor for a shrunk proxy (Section 2.7)." in
-    Arg.(value & opt float 1.0 & info [ "factor" ] ~docv:"K" ~doc)
   in
   let from_arg =
     let doc = "Synthesize from a trace file saved by `siesta trace --dump` instead of re-running the workload." in
@@ -422,23 +427,21 @@ let synth_cmd =
         Siesta_synth.Codegen_c.write_file proxy ~path;
         Printf.printf "wrote %s\n" path
   in
-  let run obs workload nranks iters platform impl seed output factor from bundle boxed
-      cache_opts =
+  let run obs s output factor from bundle boxed cache_opts =
     with_obs obs @@ fun () ->
     match from with
     | Some trace_path ->
         let pk = Siesta_trace.Trace_io.load_packed ~path:trace_path in
         let merged = Siesta_merge.Pipeline.merge_packed pk in
         let proxy =
-          Siesta_synth.Proxy_ir.synthesize ~platform ~impl ~factor ~merged
+          Siesta_synth.Proxy_ir.synthesize ~platform:s.Pipeline.platform ~impl:s.Pipeline.impl
+            ~factor ~merged
             ~compute_table:(Siesta_trace.Trace_io.packed_compute_table pk) ()
         in
         let path = Option.value ~default:(trace_path ^ ".proxy.c") output in
         emit ~proxy ~merged ~path ~bundle
     | None ->
-        let s = spec_of workload nranks iters platform impl seed in
-        let store = store_of_opts cache_opts in
-        with_ledger store;
+        let store = run_store cache_opts in
         let sy =
           Pipeline.synthesize_spec ~cache:cache_opts.cache ?store ~factor
             ~mode:(mode_of_boxed boxed) s
@@ -448,15 +451,18 @@ let synth_cmd =
         let path =
           match output with
           | Some p -> p
-          | None -> Printf.sprintf "%s_%d_proxy.c" (String.lowercase_ascii workload) nranks
+          | None ->
+              Printf.sprintf "%s_%d_proxy.c"
+                (String.lowercase_ascii s.Pipeline.workload.Registry.name)
+                s.Pipeline.nranks
         in
         emit ~proxy:sy.Pipeline.sy_proxy ~merged:sy.Pipeline.sy_merged ~path ~bundle
   in
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a C proxy-app from a traced execution")
     Term.(
-      const run $ obs_term $ workload_arg $ nranks_arg $ iters_arg $ platform_arg $ impl_arg
-      $ seed_arg $ output_arg $ factor_arg $ from_arg $ bundle_arg $ boxed_trace_arg
-      $ cache_term)
+      const run $ obs_term $ spec_term () $ output_arg
+      $ factor_arg ~doc:"Scaling factor for a shrunk proxy (Section 2.7)." ()
+      $ from_arg $ bundle_arg $ boxed_trace_arg $ cache_term)
 
 let replay_cmd =
   let target_platform_arg =
@@ -467,19 +473,15 @@ let replay_cmd =
     let doc = "MPI implementation to replay under (default: the generation one)." in
     Arg.(value & opt (some impl_conv) None & info [ "to-impl" ] ~docv:"IMPL" ~doc)
   in
-  let factor_arg =
-    let doc = "Scaling factor (reported estimate is multiplied back)." in
-    Arg.(value & opt float 1.0 & info [ "factor" ] ~docv:"K" ~doc)
-  in
-  let run obs workload nranks iters platform impl seed to_platform to_impl factor =
+  let run obs s to_platform to_impl factor =
     with_obs obs @@ fun () ->
-    let s = spec_of workload nranks iters platform impl seed in
+    let platform = s.Pipeline.platform and impl = s.Pipeline.impl in
     let target_platform = Option.value ~default:platform to_platform in
     let target_impl = Option.value ~default:impl to_impl in
-    let traced = Pipeline.trace s in
-    let art = Pipeline.synthesize ~factor traced in
+    let sy = Pipeline.synthesize_spec ~factor s in
+    let traced = Option.get sy.Pipeline.sy_trace.Pipeline.ts_traced in
     let original = (Pipeline.run_original s ~platform:target_platform ~impl:target_impl).Engine.elapsed in
-    let proxy_run = Pipeline.run_proxy art ~platform:target_platform ~impl:target_impl in
+    let proxy_run = Pipeline.run_proxy sy ~platform:target_platform ~impl:target_impl in
     let estimate = factor *. proxy_run.Engine.elapsed in
     Printf.printf
       "generated on %s/%s, replayed on %s/%s\noriginal: %.4f s | proxy: %.4f s | estimate: %.4f s | time error: %.2f%%\n"
@@ -493,20 +495,20 @@ let replay_cmd =
   Cmd.v
     (Cmd.info "replay" ~doc:"Synthesize a proxy and replay it, possibly elsewhere")
     Term.(
-      const run $ obs_term $ workload_arg $ nranks_arg $ iters_arg $ platform_arg $ impl_arg
-      $ seed_arg $ target_platform_arg $ target_impl_arg $ factor_arg)
+      const run $ obs_term $ spec_term () $ target_platform_arg $ target_impl_arg
+      $ factor_arg ~doc:"Scaling factor (reported estimate is multiplied back)." ())
 
 let analyze_cmd =
   let heatmap_arg =
     let doc = "Also print the point-to-point volume heat map." in
     Arg.(value & flag & info [ "heatmap" ] ~doc)
   in
-  let run obs workload nranks iters platform impl seed heatmap =
+  let run obs s heatmap =
     with_obs obs @@ fun () ->
-    let s = spec_of workload nranks iters platform impl seed in
-    let traced = Pipeline.trace s in
-    let m = Siesta_analysis.Comm_matrix.of_recorder traced.Pipeline.recorder in
-    Printf.printf "%s on %d ranks:\n" workload nranks;
+    let ts = Pipeline.trace_stage s in
+    let recorder = (Option.get ts.Pipeline.ts_traced).Pipeline.recorder in
+    let m = Siesta_analysis.Comm_matrix.of_recorder recorder in
+    Printf.printf "%s on %d ranks:\n" s.Pipeline.workload.Registry.name s.Pipeline.nranks;
     Printf.printf "  p2p traffic : %d messages, %s\n"
       (Siesta_analysis.Comm_matrix.total_messages m)
       (Siesta_util.Bytes_fmt.to_string (Siesta_analysis.Comm_matrix.total_bytes m));
@@ -519,30 +521,22 @@ let analyze_cmd =
             (fun (off, c) -> Printf.sprintf "%+d (%d msgs)" off c)
             (List.filteri (fun i _ -> i < 6) offsets)));
     if heatmap then print_string (Siesta_analysis.Comm_matrix.render m);
-    let merged = Siesta_merge.Pipeline.merge_recorder traced.Pipeline.recorder in
+    let merged = Siesta_merge.Pipeline.merge_packed ts.Pipeline.ts_trace in
     print_string (Siesta_analysis.Phases.render merged);
-    Siesta_trace.Mpip_report.print (Siesta_trace.Mpip_report.build traced.Pipeline.recorder)
+    Siesta_trace.Mpip_report.print (Siesta_trace.Mpip_report.build recorder)
   in
   Cmd.v
     (Cmd.info "analyze" ~doc:"Trace a workload and report its communication structure")
-    Term.(
-      const run $ obs_term $ workload_arg $ nranks_arg $ iters_arg $ platform_arg $ impl_arg
-      $ seed_arg $ heatmap_arg)
+    Term.(const run $ obs_term $ spec_term () $ heatmap_arg)
 
 let report_cmd =
   let output_arg =
     let doc = "Write the markdown report to $(docv) (default: stdout)." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let factor_arg =
-    let doc = "Scaling factor for a shrunk proxy." in
-    Arg.(value & opt float 1.0 & info [ "factor" ] ~docv:"K" ~doc)
-  in
-  let run obs workload nranks iters platform impl seed output factor timeline_out cache_opts =
+  let run obs s output factor timeline_out cache_opts =
     with_obs obs @@ fun () ->
-    let s = spec_of workload nranks iters platform impl seed in
-    let store = store_of_opts cache_opts in
-    with_ledger store;
+    let store = run_store cache_opts in
     let sy = Pipeline.synthesize_spec ~cache:cache_opts.cache ?store ~factor s in
     Option.iter
       (fun path -> write_timeline ~path (fst (Pipeline.record_timeline s)))
@@ -556,8 +550,8 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report" ~doc:"Run the full pipeline and produce a markdown quality report")
     Term.(
-      const run $ obs_term $ workload_arg $ nranks_arg $ iters_arg $ platform_arg $ impl_arg
-      $ seed_arg $ output_arg $ factor_arg $ timeline_out_arg $ cache_term)
+      const run $ obs_term $ spec_term () $ output_arg $ factor_arg () $ timeline_out_arg
+      $ cache_term)
 
 let extrapolate_cmd =
   let scales_arg =
@@ -572,12 +566,11 @@ let extrapolate_cmd =
     let doc = "Write the generated C proxy-app to $(docv)." in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
-  let run obs workload iters platform impl seed scales target output =
+  let run obs workload spec_at scales target output =
     with_obs obs @@ fun () ->
     let trace_at nranks =
-      let s = spec_of workload nranks iters platform impl seed in
-      let traced = Pipeline.trace s in
-      Siesta_trace.Trace_io.of_recorder traced.Pipeline.recorder
+      let ts = Pipeline.trace_stage (spec_at nranks) in
+      Siesta_trace.Trace_io.of_recorder (Option.get ts.Pipeline.ts_traced).Pipeline.recorder
     in
     Printf.printf "tracing %s at %s ranks...\n%!" workload
       (String.concat ", " (List.map string_of_int scales));
@@ -595,8 +588,10 @@ let extrapolate_cmd =
               Siesta_merge.Pipeline.merge_streams ~nranks:target
                 predicted.Siesta_trace.Trace_io.streams
             in
+            let s = spec_at (List.hd scales) in
             let proxy =
-              Siesta_synth.Proxy_ir.synthesize ~platform ~impl ~merged
+              Siesta_synth.Proxy_ir.synthesize ~platform:s.Pipeline.platform
+                ~impl:s.Pipeline.impl ~merged
                 ~compute_table:(Siesta_trace.Trace_io.compute_table predicted) ()
             in
             Printf.printf "extrapolated to %d ranks (%d boundary classes): %s\n" target
@@ -616,8 +611,8 @@ let extrapolate_cmd =
     (Cmd.info "extrapolate"
        ~doc:"Fit a scale model from several traced scales and emit a proxy for an untraced one")
     Term.(
-      const run $ obs_term $ workload_arg $ iters_arg $ platform_arg $ impl_arg $ seed_arg
-      $ scales_arg $ target_arg $ output_arg)
+      const run $ obs_term $ workload_arg $ spec_at_term () $ scales_arg $ target_arg
+      $ output_arg)
 
 (* diff: the fidelity observatory's front end.  Synthesizes the proxy,
    replays both the original and the proxy under the simulated-clock
@@ -627,10 +622,6 @@ let diff_cmd =
   let workload_opt_arg =
     let doc = "Workload name (see `siesta list`)." in
     Arg.(required & opt (some string) None & info [ "w"; "workload" ] ~docv:"WORKLOAD" ~doc)
-  in
-  let factor_arg =
-    let doc = "Scaling factor for a shrunk proxy." in
-    Arg.(value & opt float 1.0 & info [ "factor" ] ~docv:"K" ~doc)
   in
   let json_arg =
     let doc = "Print the divergence report as JSON instead of text." in
@@ -643,13 +634,11 @@ let diff_cmd =
     in
     Arg.(value & opt (some string) None & info [ "perturb" ] ~docv:"WHAT" ~doc)
   in
-  let run obs workload nranks iters platform impl seed factor json perturb timeline_out
-      timeline_html cache_opts =
+  let run obs s factor json perturb timeline_out timeline_html cache_opts =
     with_obs obs @@ fun () ->
     let perturb = divergence_fault_of "diff" perturb in
-    let s = spec_of workload nranks iters platform impl seed in
-    let store = store_of_opts cache_opts in
-    with_ledger store;
+    let workload = s.Pipeline.workload.Registry.name and nranks = s.Pipeline.nranks in
+    let store = run_store cache_opts in
     let sy = Pipeline.synthesize_spec ~cache:cache_opts.cache ?store ~factor s in
     let sy =
       match perturb with
@@ -665,8 +654,8 @@ let diff_cmd =
       (fun () -> fid.Pipeline.f_original.Divergence.c_timeline);
     if json then print_string (Divergence.to_json r)
     else begin
-      Printf.printf "%s @ %d ranks (platform %s, %s)%s\n" workload nranks platform.Spec.name
-        impl.Mpi_impl.name
+      Printf.printf "%s @ %d ranks (platform %s, %s)%s\n" workload nranks
+        s.Pipeline.platform.Spec.name s.Pipeline.impl.Mpi_impl.name
         (match perturb with
         | None -> ""
         | Some `Comm -> " [perturbed: comm]"
@@ -708,9 +697,8 @@ let diff_cmd =
          "Replay the synthesized proxy next to the original and report divergence (exit 1 \
           unless the communication replay is lossless)")
     Term.(
-      const run $ obs_term $ workload_opt_arg $ nranks_arg $ iters_arg $ platform_arg
-      $ impl_arg $ seed_arg $ factor_arg $ json_arg $ perturb_arg $ timeline_out_arg
-      $ timeline_html_arg $ cache_term)
+      const run $ obs_term $ spec_term ~workload:workload_opt_arg () $ factor_arg ()
+      $ json_arg $ perturb_arg $ timeline_out_arg $ timeline_html_arg $ cache_term)
 
 (* sweep: the fidelity-vs-factor observatory.  Captures the original
    once, synthesizes a proxy per scheduled factor (with --cache the
@@ -743,8 +731,7 @@ let sweep_cmd =
     in
     Arg.(value & opt (some string) None & info [ "perturb" ] ~docv:"WHAT" ~doc)
   in
-  let run obs workload nranks iters platform impl seed factors_s json html perturb
-      cache_opts =
+  let run obs s factors_s json html perturb cache_opts =
     with_obs obs @@ fun () ->
     let perturb = divergence_fault_of "sweep" perturb in
     let factors =
@@ -754,15 +741,15 @@ let sweep_cmd =
           Printf.eprintf "sweep: bad --factors: %s\n" msg;
           exit 2
     in
-    let s = spec_of workload nranks iters platform impl seed in
-    let store = store_of_opts cache_opts in
-    with_ledger store;
+    let store = run_store cache_opts in
     let t = Sweep.run ~cache:cache_opts.cache ?store ?perturb ~factors s in
     if json then print_string (Sweep.to_json t) else print_string (Sweep.render t);
     Option.iter
       (fun path ->
         Sweep_html.write
-          ~title:(Printf.sprintf "Siesta fidelity sweep — %s @ %d ranks" workload nranks)
+          ~title:
+            (Printf.sprintf "Siesta fidelity sweep — %s @ %d ranks"
+               s.Pipeline.workload.Registry.name s.Pipeline.nranks)
           t ~path;
         Printf.eprintf "sweep: wrote %s (self-contained HTML, %d factor(s))\n" path
           (List.length t.Sweep.s_points))
@@ -775,8 +762,7 @@ let sweep_cmd =
          "Sweep the scaling factor and measure per-factor fidelity (exit 1 when any \
           factor's verdict crosses the comm-divergence rank, 2 on a bad schedule)")
     Term.(
-      const run $ obs_term $ workload_arg $ nranks_arg $ iters_arg $ platform_arg
-      $ impl_arg $ seed_arg $ factors_arg $ json_arg $ html_arg $ perturb_arg
+      const run $ obs_term $ spec_term () $ factors_arg $ json_arg $ html_arg $ perturb_arg
       $ cache_term)
 
 (* check: the static correctness observatory.  Synthesizes (or restores
@@ -797,18 +783,17 @@ let check_cmd =
     in
     Arg.(value & opt (some string) None & info [ "perturb" ] ~docv:"WHAT" ~doc)
   in
-  let run obs workload nranks iters platform impl seed json perturb cache_opts =
+  let run obs s json perturb cache_opts =
     with_obs obs @@ fun () ->
     let fault = check_fault_of perturb in
-    let s = spec_of workload nranks iters platform impl seed in
-    let store = store_of_opts cache_opts in
-    with_ledger store;
+    let store = run_store cache_opts in
     let sy = Pipeline.synthesize_spec ~cache:cache_opts.cache ?store s in
     let report = Pipeline.check_synthesis ?fault sy in
     if json then print_string (Comm_check.to_json report)
     else begin
-      Printf.printf "%s @ %d ranks (%s, eager threshold %d B)%s\n" workload nranks
-        impl.Mpi_impl.name report.Comm_check.k_eager_threshold
+      Printf.printf "%s @ %d ranks (%s, eager threshold %d B)%s\n"
+        s.Pipeline.workload.Registry.name s.Pipeline.nranks s.Pipeline.impl.Mpi_impl.name
+        report.Comm_check.k_eager_threshold
         (match perturb with
         | None -> ""
         | Some what -> Printf.sprintf " [perturbed: %s]" what);
@@ -824,9 +809,7 @@ let check_cmd =
        ~doc:
          "Statically verify communication correctness of the merged grammar (exit 1 on a \
           violation, 2 on a bad --perturb token)")
-    Term.(
-      const run $ obs_term $ workload_arg $ nranks_arg $ iters_arg $ platform_arg
-      $ impl_arg $ seed_arg $ json_arg $ perturb_arg $ cache_term)
+    Term.(const run $ obs_term $ spec_term () $ json_arg $ perturb_arg $ cache_term)
 
 (* store: maintenance front end for the content-addressed artifact
    store.  `ls` lists stage-key bindings, `verify` re-hashes and

@@ -20,9 +20,10 @@ let nranks = 16
 let () =
   let spec = Pipeline.spec ~workload:"SP" ~nranks () in
   let impl = spec.Pipeline.impl in
-  let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
-  let art10 = Pipeline.synthesize ~factor:10.0 traced in
+  let ts = Pipeline.trace_stage spec in
+  let traced = Option.get ts.Pipeline.ts_traced in
+  let art = Pipeline.synthesize ts in
+  let art10 = Pipeline.synthesize ~factor:10.0 ts in
   let streams = Array.init nranks (Recorder.events traced.Pipeline.recorder) in
   let sb =
     Scalabench.synthesize ~platform:Spec.platform_a ~workload:"SP" ~nranks ~streams
@@ -34,7 +35,7 @@ let () =
     let scaled = 10.0 *. (Pipeline.run_proxy art10 ~platform ~impl).Engine.elapsed in
     let scalabench = (Engine.run ~platform ~impl ~nranks (Scalabench.program sb)).Engine.elapsed in
     let pilgrim =
-      (Engine.run ~platform ~impl ~nranks (Pilgrim.program art.Pipeline.merged)).Engine.elapsed
+      (Engine.run ~platform ~impl ~nranks (Pilgrim.program art.Pipeline.sy_merged)).Engine.elapsed
     in
     (original, [ ("Siesta", siesta); ("Siesta-scaled", scaled); ("ScalaBench", scalabench);
                  ("Pilgrim", pilgrim) ])

@@ -17,10 +17,9 @@ module Mpi_impl = Siesta_platform.Mpi_impl
 let () =
   let spec = Pipeline.spec ~workload:"MG" ~nranks:16 () in
   Printf.printf "tracing MG@16 on platform A (openmpi)...\n";
-  let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
+  let art = Pipeline.synthesize_spec spec in
   Printf.printf "proxy generated (size_C = %s)\n\n"
-    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes art.Pipeline.proxy));
+    (Siesta_util.Bytes_fmt.to_string (Siesta_synth.Proxy_ir.size_c_bytes art.Pipeline.sy_proxy));
   let rows =
     List.concat_map
       (fun platform ->

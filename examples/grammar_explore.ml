@@ -15,7 +15,8 @@ module Merged = Siesta_merge.Merged
 
 let () =
   let spec = Pipeline.spec ~workload:"Sweep3d" ~nranks:8 () in
-  let traced = Pipeline.trace spec in
+  let ts = Pipeline.trace_stage spec in
+  let traced = Option.get ts.Pipeline.ts_traced in
   let recorder = traced.Pipeline.recorder in
   let streams = Array.init 8 (Recorder.events recorder) in
   let table = Terminal_table.build streams in

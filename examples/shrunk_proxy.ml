@@ -12,13 +12,14 @@ module Engine = Siesta_mpi.Engine
 
 let () =
   let spec = Pipeline.spec ~workload:"BT" ~nranks:16 () in
-  let traced = Pipeline.trace spec in
+  let ts = Pipeline.trace_stage spec in
+  let traced = Option.get ts.Pipeline.ts_traced in
   let original = traced.Pipeline.original.Engine.elapsed in
   Printf.printf "BT@16 original: %.4f s\n\n" original;
   let rows =
     List.map
       (fun factor ->
-        let art = Pipeline.synthesize ~factor traced in
+        let art = Pipeline.synthesize ~factor ts in
         let raw =
           (Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl)
             .Engine.elapsed

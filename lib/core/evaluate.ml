@@ -1,6 +1,6 @@
 module Engine = Siesta_mpi.Engine
 module Counters = Siesta_perf.Counters
-module Recorder = Siesta_trace.Recorder
+module Codec = Siesta_store.Codec
 module Proxy_ir = Siesta_synth.Proxy_ir
 
 let time_error ~estimated ~original =
@@ -42,19 +42,20 @@ type table3_row = {
   error : float;
 }
 
-let table3_row (artifact : Pipeline.artifact) =
-  let traced = artifact.Pipeline.traced in
-  let s = traced.Pipeline.run_spec in
-  let proxy_run =
-    Pipeline.run_proxy artifact ~platform:s.Pipeline.platform ~impl:s.Pipeline.impl
-  in
+let table3_row (sy : Pipeline.synthesis) =
+  let s = sy.Pipeline.sy_trace.Pipeline.ts_spec in
+  let meta = sy.Pipeline.sy_trace.Pipeline.ts_meta in
+  let platform = s.Pipeline.platform and impl = s.Pipeline.impl in
   {
     program = s.Pipeline.workload.Siesta_workloads.Registry.name;
     processes = s.Pipeline.nranks;
-    trace_bytes = Recorder.raw_trace_bytes traced.Pipeline.recorder;
-    size_c_bytes = Proxy_ir.size_c_bytes artifact.Pipeline.proxy;
-    overhead = traced.Pipeline.overhead;
-    error = counter_error ~original:traced.Pipeline.original ~proxy:proxy_run;
+    trace_bytes = meta.Codec.tm_raw_bytes;
+    size_c_bytes = Proxy_ir.size_c_bytes sy.Pipeline.sy_proxy;
+    overhead = Codec.meta_overhead meta;
+    error =
+      counter_error
+        ~original:(Pipeline.run_original s ~platform ~impl)
+        ~proxy:(Pipeline.run_proxy sy ~platform ~impl);
   }
 
 let mean l = if l = [] then 0.0 else List.fold_left ( +. ) 0.0 l /. float_of_int (List.length l)

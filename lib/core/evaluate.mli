@@ -29,8 +29,9 @@ type table3_row = {
   error : float;
 }
 
-val table3_row : Pipeline.artifact -> table3_row
-(** Runs the proxy on the generation platform to score the counter
-    error. *)
+val table3_row : Pipeline.synthesis -> table3_row
+(** Trace size and overhead come from the stored run measurements;
+    replays the original and the proxy on the generation platform to
+    score the counter error (runs are deterministic per seed). *)
 
 val mean : float list -> float

@@ -124,15 +124,6 @@ type merge_sched = {
   ms_est_item_cost_s : float;
 }
 
-type artifact = {
-  traced : traced;
-  merged : Merged.t;
-  proxy : Proxy_ir.t;
-  factor : float;
-  timings : (string * float) list;
-  merge_sched : merge_sched option;
-}
-
 (* Resolve the merge stage's pool so its scheduling decisions (clamp,
    gate, estimator) can be snapshotted and surfaced in the report.
    [None] borrows the shared warm pool — repeated synthesize calls stop
@@ -182,41 +173,6 @@ let sched_kvs = function
         ("est_item_cost_s", m.ms_est_item_cost_s);
       ]
 
-let synthesize ?(factor = 1.0) ?(rle = true) ?domains traced =
-  with_merge_pool domains @@ fun pool ->
-  let config = merge_config ~rle pool in
-  let before = Option.map Parallel.stats pool in
-  let merged, t_merge =
-    stage "merge" (fun () -> Merge_pipeline.merge_recorder ~config traced.recorder)
-  in
-  let merge_sched = sched_snapshot pool before in
-  let proxy, t_synth =
-    stage "synthesize" (fun () ->
-        Proxy_ir.synthesize ~platform:traced.run_spec.platform ~impl:traced.run_spec.impl
-          ~factor ~merged
-          ~compute_table:(Recorder.compute_table traced.recorder)
-          ())
-  in
-  Log.info (fun () ->
-      ( "pipeline.synthesize",
-        [
-          ("workload", traced.run_spec.workload.Registry.name);
-          ("factor", Printf.sprintf "%g" factor);
-          ("merged", Merged.stats merged);
-          ("merge_s", Printf.sprintf "%.6f" (snd t_merge));
-          ("synthesize_s", Printf.sprintf "%.6f" (snd t_synth));
-          ( "merge_domains",
-            match merge_sched with
-            | None -> "1"
-            | Some m -> string_of_int m.ms_effective );
-        ] ));
-  { traced; merged; proxy; factor; timings = traced.timings @ [ t_merge; t_synth ]; merge_sched }
-
-let run_proxy artifact ~platform ~impl =
-  Engine.run ~platform ~impl ~nranks:artifact.traced.run_spec.nranks
-    ~seed:artifact.traced.run_spec.seed
-    (Proxy_ir.program artifact.proxy)
-
 let run_original s ~platform ~impl =
   Engine.run ~platform ~impl ~nranks:s.nranks ~seed:s.seed (program_of s)
 
@@ -239,9 +195,6 @@ let capture_proxy_ir ?platform ?impl s proxy =
   Span.with_ ~cat:"pipeline" "capture.proxy" (fun () ->
       Divergence.capture ~platform ~impl ~nranks:s.nranks ~seed:s.seed
         (Proxy_ir.program proxy))
-
-let capture_proxy ?platform ?impl artifact =
-  capture_proxy_ir ?platform ?impl artifact.traced.run_spec artifact.proxy
 
 (* ------------------------------------------------------------------ *)
 (* Static communication check *)
@@ -272,7 +225,8 @@ type fidelity = {
   f_original : Divergence.capture;
   f_proxy : Divergence.capture;
   f_report : Divergence.report;
-  f_check : Comm_check.report option;
+  f_check : Comm_check.report;
+  f_timings : (string * float) list;
 }
 
 let ledger_fidelity_of_report ?verdict (r : Divergence.report) =
@@ -288,37 +242,6 @@ let ledger_fidelity_of_report ?verdict (r : Divergence.report) =
         (fun acc (e : Divergence.metric_err) -> Float.max acc e.Divergence.me_mean)
         0.0 r.Divergence.r_compute_errors;
   }
-
-let diff_core ?check s proxy_ir =
-  let fid, total_s =
-    Clock.wall (fun () ->
-        let original = capture_original s in
-        let proxy = capture_proxy_ir s proxy_ir in
-        let report =
-          Span.with_ ~cat:"pipeline" "diff" (fun () -> Divergence.diff ~original ~proxy)
-        in
-        { f_original = original; f_proxy = proxy; f_report = report; f_check = check })
-  in
-  let report = fid.f_report in
-  Divergence.publish_metrics report;
-  Log.info (fun () ->
-      ( "pipeline.diff",
-        [
-          ("workload", s.workload.Registry.name);
-          ("lossless", string_of_bool report.Divergence.r_lossless);
-          ("time_error", Printf.sprintf "%.4f" report.Divergence.r_time_error);
-          ("timeline_distance", Printf.sprintf "%.4e" report.Divergence.r_timeline_distance);
-        ] ));
-  Ledger.emit (fun () ->
-      Ledger.make ~kind:"diff" ~spec:(spec_kvs s)
-        ~timings:[ ("diff.total", total_s) ]
-        ~fidelity:(ledger_fidelity_of_report report)
-        ?check:(Option.map ledger_check_of_report check) ());
-  fid
-
-let diff artifact =
-  let s = artifact.traced.run_spec in
-  diff_core ~check:(run_check s artifact.merged) s artifact.proxy
 
 (* ------------------------------------------------------------------ *)
 (* Incremental cache (content-addressed artifact store) *)
@@ -336,8 +259,6 @@ type cache_status = {
   cs_merge : cache_outcome;
   cs_proxy : cache_outcome;
 }
-
-let status_off = { cs_root = None; cs_trace = Cache_off; cs_merge = Cache_off; cs_proxy = Cache_off }
 
 type trace_stage = {
   ts_spec : spec;
@@ -359,6 +280,10 @@ type synthesis = {
   sy_timings : (string * float) list;
   sy_status : cache_status;
 }
+
+let run_proxy sy ~platform ~impl =
+  let s = sy.sy_trace.ts_spec in
+  Engine.run ~platform ~impl ~nranks:s.nranks ~seed:s.seed (Proxy_ir.program sy.sy_proxy)
 
 let meta_of_traced (tr : traced) =
   {
@@ -407,59 +332,90 @@ let log_stage_outcome stg s outcome =
           ("outcome", outcome_name outcome);
         ] ))
 
-let trace_stage_cached ?mode st s =
-  let key, descr =
-    Cache.trace_key ~workload:s.workload.Registry.name ~nranks:s.nranks ~iters:s.iters
-      ~seed:s.seed ~platform:s.platform.Spec_p.name ~impl:s.impl.Mpi_impl.name
-      ~cluster_threshold:s.cluster_threshold ()
-  in
-  let found, t_lookup =
-    stage "trace.cached" (fun () ->
-        cache_lookup st ~stage:"trace" ~key ~decode:Codec.decode_trace)
-  in
-  match found with
-  | Some (hash, (meta, t)) ->
-      cache_count "trace" true;
-      log_stage_outcome "trace" s Cache_hit;
-      {
-        ts_spec = s;
-        ts_trace = t;
-        ts_meta = meta;
-        ts_table = Trace_io.packed_compute_table t;
-        ts_hash = Some hash;
-        ts_outcome = Cache_hit;
-        ts_traced = None;
-        ts_timings = [ t_lookup ];
-      }
-  | None ->
-      cache_count "trace" false;
-      log_stage_outcome "trace" s Cache_miss;
-      let traced = trace ?mode s in
-      let meta = meta_of_traced traced in
-      let t = Trace_io.pack traced.recorder in
-      let hash, t_store =
-        stage "trace.store" (fun () ->
-            let blob = Codec.encode_trace ~meta t in
-            let hash = Store.put st blob in
-            Store.bind st ~key ~hash ~kind:"trace" ~descr;
-            hash)
-      in
-      {
-        ts_spec = s;
-        ts_trace = t;
-        ts_meta = meta;
-        (* Restore the table from the centroids that were just stored, so
-           a later warm run (which can only restore) searches the exact
-           same proxies as this cold one. *)
-        ts_table = Trace_io.packed_compute_table t;
-        ts_hash = Some hash;
-        ts_outcome = Cache_miss;
-        ts_traced = Some traced;
-        ts_timings = traced.timings @ [ t_store ];
-      }
+type ('a, 'x) memoized = {
+  m_value : 'a;
+  m_hash : string option;  (** blob content hash, when memoized *)
+  m_outcome : cache_outcome;
+  m_timings : (string * float) list;
+  m_extra : 'x option;  (** [compute]'s by-product, when it ran *)
+}
 
-(* One ledger record per public trace invocation.  The cached synth path
-   calls [trace_stage_cached] directly, so a synth run appends a single
+(* One pipeline stage, memoized when [cache] carries a store and the
+   stage's (key, descriptor).  Without one, [compute] just runs
+   ([Cache_off]).  With one, the key is looked up first (timed as
+   "<row>.cached"; that row is kept only on a hit); on a miss [compute]
+   runs and its value is encoded, put and bound under the key (timed as
+   "<row>.store").  [compute] returns the value, a by-product the store
+   cannot hold, and its own timing rows.  [stg] names the stage in the
+   cache.* counters and log lines, [kind] in the store manifest. *)
+let memo cache ~stg ~row ~kind ~decode ~encode s compute =
+  let computed outcome =
+    let value, extra, timings = compute () in
+    { m_value = value; m_hash = None; m_outcome = outcome; m_timings = timings; m_extra = Some extra }
+  in
+  match cache with
+  | None -> computed Cache_off
+  | Some (st, (key, descr)) -> (
+      let found, t_lookup =
+        stage (row ^ ".cached") (fun () -> cache_lookup st ~stage:stg ~key ~decode)
+      in
+      match found with
+      | Some (hash, value) ->
+          cache_count stg true;
+          log_stage_outcome stg s Cache_hit;
+          {
+            m_value = value;
+            m_hash = Some hash;
+            m_outcome = Cache_hit;
+            m_timings = [ t_lookup ];
+            m_extra = None;
+          }
+      | None ->
+          cache_count stg false;
+          log_stage_outcome stg s Cache_miss;
+          let m = computed Cache_miss in
+          let hash, t_store =
+            stage (row ^ ".store") (fun () ->
+                let hash = Store.put st (encode m.m_value) in
+                Store.bind st ~key ~hash ~kind ~descr;
+                hash)
+          in
+          { m with m_hash = Some hash; m_timings = m.m_timings @ [ t_store ] })
+
+let trace_stage_in store ?mode s =
+  let cache =
+    Option.map
+      (fun st ->
+        ( st,
+          Cache.trace_key ~workload:s.workload.Registry.name ~nranks:s.nranks ~iters:s.iters
+            ~seed:s.seed ~platform:s.platform.Spec_p.name ~impl:s.impl.Mpi_impl.name
+            ~cluster_threshold:s.cluster_threshold () ))
+      store
+  in
+  let m =
+    memo cache ~stg:"trace" ~row:"trace" ~kind:"trace" ~decode:Codec.decode_trace
+      ~encode:(fun (meta, t) -> Codec.encode_trace ~meta t)
+      s
+      (fun () ->
+        let traced = trace ?mode s in
+        ((meta_of_traced traced, Trace_io.pack traced.recorder), traced, traced.timings))
+  in
+  let meta, t = m.m_value in
+  {
+    ts_spec = s;
+    ts_trace = t;
+    ts_meta = meta;
+    (* Always restored from the packed centroids — the only table a warm
+       run can have — so every run searches the exact same proxies. *)
+    ts_table = Trace_io.packed_compute_table t;
+    ts_hash = m.m_hash;
+    ts_outcome = m.m_outcome;
+    ts_traced = m.m_extra;
+    ts_timings = m.m_timings;
+  }
+
+(* One ledger record per public trace invocation.  [synthesize_spec]
+   calls [trace_stage_in] directly, so a synth run appends a single
    "synth" record rather than a "trace" + "synth" pair. *)
 let emit_trace_record ts =
   Ledger.emit (fun () ->
@@ -469,48 +425,13 @@ let emit_trace_record ts =
           :: (match ts.ts_hash with Some h -> [ ("trace_hash", h) ] | None -> []))
         ~timings:ts.ts_timings ())
 
+let open_store ~cache store =
+  if cache then Some (match store with Some st -> st | None -> Store.open_ ()) else None
+
 let trace_stage ?(cache = false) ?store ?mode s =
-  let ts =
-    if cache then
-      let st = match store with Some st -> st | None -> Store.open_ () in
-      trace_stage_cached ?mode st s
-    else
-      let traced = trace ?mode s in
-      {
-        ts_spec = s;
-        ts_trace = Trace_io.pack traced.recorder;
-        ts_meta = meta_of_traced traced;
-        ts_table = Recorder.compute_table traced.recorder;
-        ts_hash = None;
-        ts_outcome = Cache_off;
-        ts_traced = Some traced;
-        ts_timings = traced.timings;
-      }
-  in
+  let ts = trace_stage_in (open_store ~cache store) ?mode s in
   emit_trace_record ts;
   ts
-
-let synthesis_of_artifact (art : artifact) =
-  let traced = art.traced in
-  {
-    sy_trace =
-      {
-        ts_spec = traced.run_spec;
-        ts_trace = Trace_io.pack traced.recorder;
-        ts_meta = meta_of_traced traced;
-        ts_table = Recorder.compute_table traced.recorder;
-        ts_hash = None;
-        ts_outcome = Cache_off;
-        ts_traced = Some traced;
-        ts_timings = traced.timings;
-      };
-    sy_merged = art.merged;
-    sy_proxy = art.proxy;
-    sy_factor = art.factor;
-    sy_merge_sched = art.merge_sched;
-    sy_timings = art.timings;
-    sy_status = status_off;
-  }
 
 let emit_synth_record sy =
   Ledger.emit (fun () ->
@@ -529,103 +450,134 @@ let emit_synth_record sy =
         ~cache ~timings:sy.sy_timings
         ~sched:(sched_kvs sy.sy_merge_sched) ())
 
-let synthesize_spec_inner ~cache ?store ~factor ~rle ?domains ?mode s =
-  if not cache then
-    synthesis_of_artifact (synthesize ~factor ~rle ?domains (trace ?mode s))
-  else begin
-    let st = match store with Some st -> st | None -> Store.open_ () in
-    let ts = trace_stage_cached ?mode st s in
-    let trace_hash = Option.get ts.ts_hash in
-    (* merge stage *)
-    let mkey, mdescr = Cache.merge_key ~trace_hash ~rle () in
-    let found, t_mlookup =
-      stage "merge.cached" (fun () ->
-          cache_lookup st ~stage:"merge" ~key:mkey ~decode:Codec.decode_merged)
-    in
-    let merged, merge_hash, m_outcome, merge_sched, m_timings =
-      match found with
-      | Some (hash, m) ->
-          cache_count "merge" true;
-          log_stage_outcome "merge" s Cache_hit;
-          (m, hash, Cache_hit, None, [ t_mlookup ])
-      | None ->
-          cache_count "merge" false;
-          log_stage_outcome "merge" s Cache_miss;
-          with_merge_pool domains @@ fun pool ->
-          let config = merge_config ~rle pool in
-          let before = Option.map Parallel.stats pool in
-          let merged, t_merge =
-            stage "merge" (fun () -> Merge_pipeline.merge_packed ~config ts.ts_trace)
-          in
-          let sched = sched_snapshot pool before in
-          let hash, t_store =
-            stage "merge.store" (fun () ->
-                let blob = Codec.encode_merged merged in
-                let hash = Store.put st blob in
-                Store.bind st ~key:mkey ~hash ~kind:"merged" ~descr:mdescr;
-                hash)
-          in
-          (merged, hash, Cache_miss, sched, [ t_merge; t_store ])
-    in
-    (* proxy search *)
-    let pkey, pdescr =
-      Cache.proxy_key ~merge_hash ~trace_hash ~factor ~platform:s.platform.Spec_p.name
-        ~impl:s.impl.Mpi_impl.name ()
-    in
-    let found, t_plookup =
-      stage "synthesize.cached" (fun () ->
-          cache_lookup st ~stage:"proxy" ~key:pkey ~decode:Codec.decode_proxy)
-    in
-    let proxy, p_outcome, p_timings =
-      match found with
-      | Some (_hash, p) ->
-          cache_count "proxy" true;
-          log_stage_outcome "proxy" s Cache_hit;
-          (p, Cache_hit, [ t_plookup ])
-      | None ->
-          cache_count "proxy" false;
-          log_stage_outcome "proxy" s Cache_miss;
-          let proxy, t_synth =
-            stage "synthesize" (fun () ->
-                Proxy_ir.synthesize ~platform:s.platform ~impl:s.impl ~factor ~merged
-                  ~compute_table:ts.ts_table ())
-          in
-          let _hash, t_store =
-            stage "synthesize.store" (fun () ->
-                let blob = Codec.encode_proxy proxy in
-                let hash = Store.put st blob in
-                Store.bind st ~key:pkey ~hash ~kind:"proxy" ~descr:pdescr;
-                hash)
-          in
-          (proxy, Cache_miss, [ t_synth; t_store ])
-    in
-    if Metrics.enabled () then
-      Metrics.set (Metrics.gauge "store.size_bytes") (float_of_int (Store.size_bytes st));
+let synthesize ?store ?(factor = 1.0) ?(rle = true) ?domains ts =
+  let s = ts.ts_spec in
+  (* the later stages are memoized exactly when the trace stage was *)
+  let store = match ts.ts_hash with Some _ -> store | None -> None in
+  let keyed key =
+    match (store, ts.ts_hash) with
+    | Some st, Some trace_hash -> Some (st, key trace_hash)
+    | _ -> None
+  in
+  let merge =
+    memo
+      (keyed (fun trace_hash -> Cache.merge_key ~trace_hash ~rle ()))
+      ~stg:"merge" ~row:"merge" ~kind:"merged" ~decode:Codec.decode_merged
+      ~encode:Codec.encode_merged s
+      (fun () ->
+        with_merge_pool domains @@ fun pool ->
+        let config = merge_config ~rle pool in
+        let before = Option.map Parallel.stats pool in
+        let merged, t_merge =
+          stage "merge" (fun () -> Merge_pipeline.merge_packed ~config ts.ts_trace)
+        in
+        (merged, sched_snapshot pool before, [ t_merge ]))
+  in
+  let merged = merge.m_value in
+  let proxy =
+    memo
+      (keyed (fun trace_hash ->
+           Cache.proxy_key ~merge_hash:(Option.get merge.m_hash) ~trace_hash ~factor ~platform:s.platform.Spec_p.name
+             ~impl:s.impl.Mpi_impl.name ()))
+      ~stg:"proxy" ~row:"synthesize" ~kind:"proxy" ~decode:Codec.decode_proxy
+      ~encode:Codec.encode_proxy s
+      (fun () ->
+        let proxy, t_synth =
+          stage "synthesize" (fun () ->
+              Proxy_ir.synthesize ~platform:s.platform ~impl:s.impl ~factor ~merged
+                ~compute_table:ts.ts_table ())
+        in
+        (proxy, (), [ t_synth ]))
+  in
+  let merge_sched = Option.join merge.m_extra in
+  let timings = ts.ts_timings @ merge.m_timings @ proxy.m_timings in
+  Option.iter
+    (fun st ->
+      if Metrics.enabled () then
+        Metrics.set (Metrics.gauge "store.size_bytes") (float_of_int (Store.size_bytes st)))
+    store;
+  Log.info (fun () ->
+      let row name =
+        match List.assoc_opt name timings with
+        | Some t -> [ (name ^ "_s", Printf.sprintf "%.6f" t) ]
+        | None -> []
+      in
+      ( "pipeline.synthesize",
+        [
+          ("workload", s.workload.Registry.name);
+          ("factor", Printf.sprintf "%g" factor);
+          ("merged", Merged.stats merged);
+        ]
+        @ row "merge" @ row "synthesize"
+        @ [
+            ( "merge_domains",
+              match merge_sched with None -> "1" | Some m -> string_of_int m.ms_effective );
+          ] ));
+  let sy =
     {
       sy_trace = ts;
       sy_merged = merged;
-      sy_proxy = proxy;
+      sy_proxy = proxy.m_value;
       sy_factor = factor;
       sy_merge_sched = merge_sched;
-      sy_timings = ts.ts_timings @ m_timings @ p_timings;
+      sy_timings = timings;
       sy_status =
         {
-          cs_root = Some (Store.root st);
+          cs_root = Option.map Store.root store;
           cs_trace = ts.ts_outcome;
-          cs_merge = m_outcome;
-          cs_proxy = p_outcome;
+          cs_merge = merge.m_outcome;
+          cs_proxy = proxy.m_outcome;
         };
     }
-  end
-
-let synthesize_spec ?(cache = false) ?store ?(factor = 1.0) ?(rle = true) ?domains ?mode s =
-  let sy = synthesize_spec_inner ~cache ?store ~factor ~rle ?domains ?mode s in
+  in
   emit_synth_record sy;
   sy
 
+let synthesize_spec ?(cache = false) ?store ?factor ?rle ?domains ?mode s =
+  let store = open_store ~cache store in
+  synthesize ?store ?factor ?rle ?domains (trace_stage_in store ?mode s)
+
+(* Capture original and proxy, diff them, publish the headline scores
+   and append one "diff" ledger record.  Each sub-step's wall seconds are
+   returned in [f_timings] for the report's stage table. *)
 let diff_synthesis sy =
   let s = sy.sy_trace.ts_spec in
-  diff_core ~check:(run_check s sy.sy_merged) s sy.sy_proxy
+  let timed name f =
+    let r, t = Clock.wall f in
+    (r, (name, t))
+  in
+  let check, t_check = timed "check" (fun () -> run_check s sy.sy_merged) in
+  let (original, proxy, report, rows), total_s =
+    Clock.wall (fun () ->
+        let original, t_orig = timed "capture.original" (fun () -> capture_original s) in
+        let proxy, t_proxy = timed "capture.proxy" (fun () -> capture_proxy_ir s sy.sy_proxy) in
+        let report, t_diff =
+          timed "diff" (fun () ->
+              Span.with_ ~cat:"pipeline" "diff" (fun () -> Divergence.diff ~original ~proxy))
+        in
+        (original, proxy, report, [ t_orig; t_proxy; t_diff ]))
+  in
+  Divergence.publish_metrics report;
+  Log.info (fun () ->
+      ( "pipeline.diff",
+        [
+          ("workload", s.workload.Registry.name);
+          ("lossless", string_of_bool report.Divergence.r_lossless);
+          ("time_error", Printf.sprintf "%.4f" report.Divergence.r_time_error);
+          ("timeline_distance", Printf.sprintf "%.4e" report.Divergence.r_timeline_distance);
+        ] ));
+  Ledger.emit (fun () ->
+      Ledger.make ~kind:"diff" ~spec:(spec_kvs s)
+        ~timings:[ ("diff.total", total_s) ]
+        ~fidelity:(ledger_fidelity_of_report report)
+        ~check:(ledger_check_of_report check) ());
+  {
+    f_original = original;
+    f_proxy = proxy;
+    f_report = report;
+    f_check = check;
+    f_timings = t_check :: rows;
+  }
 
 let check_synthesis ?fault sy =
   let s = sy.sy_trace.ts_spec in

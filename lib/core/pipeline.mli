@@ -1,14 +1,18 @@
 (** End-to-end Siesta pipeline: trace -> compress -> merge -> synthesize
-    -> (generate C | replay).
+    -> (generate C | check | diff | replay).
 
-    This is the library's primary entry point.  A typical use:
+    This is the library's primary entry point.  There is one staged
+    path; the content-addressed artifact store is an optional input that
+    memoizes each stage.  A typical use:
     {[
-      let spec = Pipeline.{ default_spec with workload = Registry.find "CG" } in
-      let traced = Pipeline.trace spec in
-      let artifact = Pipeline.synthesize traced in
-      let c_code = Siesta_synth.Codegen_c.generate artifact.proxy in
-      let replayed = Pipeline.run_proxy artifact ~platform ~impl in
-    ]} *)
+      let spec = Pipeline.spec ~workload:"CG" ~nranks:64 () in
+      let sy = Pipeline.synthesize_spec spec in
+      let c_code = Siesta_synth.Codegen_c.generate sy.Pipeline.sy_proxy in
+      let replayed = Pipeline.run_proxy sy ~platform ~impl in
+    ]}
+    To derive several proxies from one trace, run the stages apart:
+    [let ts = Pipeline.trace_stage spec in] then
+    [Pipeline.synthesize ~factor ts] per factor. *)
 
 type spec = {
   workload : Siesta_workloads.Registry.t;
@@ -48,15 +52,9 @@ type traced = {
           measured on {!Siesta_obs.Clock} — the same clock the spans and
           bench drivers use *)
 }
-
-val trace : ?mode:Siesta_trace.Recorder.mode -> spec -> traced
-(** Run the workload twice — bare and instrumented — on the generation
-    platform.  [mode] (default {!Siesta_trace.Recorder.Streamed})
-    selects the recorder's event representation; both modes encode the
-    identical event sequence, and the downstream merge canonicalizes
-    terminal numbering, so the synthesized proxy is byte-identical
-    either way (the [make check] smoke asserts this at 10⁶-event
-    scale). *)
+(** A live trace run: the workload run twice — bare and instrumented —
+    on the generation platform.  {!trace_stage} hands it out as
+    [ts_traced] whenever it ran the tracer. *)
 
 type merge_sched = {
   ms_requested : int;  (** domain count asked of the scheduler *)
@@ -72,38 +70,6 @@ type merge_sched = {
 }
 (** Snapshot of the {!Siesta_util.Parallel} scheduling decisions taken by
     the merge stage — what [siesta report] prints as the scheduler line. *)
-
-type artifact = {
-  traced : traced;
-  merged : Siesta_merge.Merged.t;
-  proxy : Siesta_synth.Proxy_ir.t;
-  factor : float;
-  timings : (string * float) list;
-      (** the traced stages plus "merge" and "synthesize" *)
-  merge_sched : merge_sched option;
-      (** [None] when the merge ran without a domain pool (sequential
-          path, e.g. [~domains:1] or a 1-domain warm pool) *)
-}
-
-val synthesize : ?factor:float -> ?rle:bool -> ?domains:int -> traced -> artifact
-(** Compress, merge and search computation proxies.  [factor] (default 1)
-    produces a shrunk proxy; [rle] (default true) controls the Sequitur
-    run-length constraint (ablation); [domains] sizes the merge stage's
-    domain pool.  Default ([None]) borrows the process-wide warm pool
-    ({!Siesta_util.Parallel.global}), whose implicit sizing is clamped to
-    the host's recommended domain count — repeated calls pay no
-    [Domain.spawn].  An explicit [~domains:d] with [d > 1] creates a raw
-    transient pool of exactly [d] domains (no clamp; the determinism
-    cross-checks rely on it); [~domains:1] forces the sequential path. *)
-
-val run_proxy :
-  artifact ->
-  platform:Siesta_platform.Spec.t ->
-  impl:Siesta_platform.Mpi_impl.t ->
-  Siesta_mpi.Engine.result
-(** Execute the proxy on an arbitrary platform/implementation pair.  The
-    returned elapsed time is the raw proxy time; multiply by
-    [artifact.factor] to estimate the original. *)
 
 val run_original :
   spec ->
@@ -126,22 +92,15 @@ val capture_original : spec -> Siesta_analysis.Divergence.capture
 (** Full divergence capture (calls + per-event counters + timeline) of
     the original program on the generation platform. *)
 
-val capture_proxy :
-  ?platform:Siesta_platform.Spec.t ->
-  ?impl:Siesta_platform.Mpi_impl.t ->
-  artifact ->
-  Siesta_analysis.Divergence.capture
-(** Same capture for the synthesized proxy replay; platform and
-    implementation default to the generation pair. *)
-
 val capture_proxy_ir :
   ?platform:Siesta_platform.Spec.t ->
   ?impl:Siesta_platform.Mpi_impl.t ->
   spec ->
   Siesta_synth.Proxy_ir.t ->
   Siesta_analysis.Divergence.capture
-(** {!capture_proxy} over a bare proxy IR — what a fidelity sweep uses
-    to diff each per-factor proxy against one original capture. *)
+(** Divergence capture of a proxy replay; platform and implementation
+    default to the spec's generation pair.  A fidelity sweep uses it to
+    diff each per-factor proxy against one original capture. *)
 
 val spec_kvs : spec -> (string * string) list
 (** The spec as flat strings, as stamped into run-ledger records (so
@@ -161,28 +120,13 @@ val ledger_check_of_report :
 (** The static checker's verdict, violation count and reasons in ledger
     form (what [runs compare] gates on via the [check.*] dimensions). *)
 
-type fidelity = {
-  f_original : Siesta_analysis.Divergence.capture;
-  f_proxy : Siesta_analysis.Divergence.capture;
-  f_report : Siesta_analysis.Divergence.report;
-  f_check : Siesta_analysis.Comm_check.report option;
-      (** static communication check of the merged grammar, when the diff
-          path had one in hand ({!diff} / {!diff_synthesis} always do) *)
-}
+(** {1 Stages and the incremental cache}
 
-val diff : artifact -> fidelity
-(** Capture original and proxy on the generation platform, diff them, and
-    publish the headline scores as [Siesta_obs.Metrics] gauges (a no-op
-    when the registry is disabled).  Also runs the static communication
-    check ({!Siesta_analysis.Comm_check}) over the merged grammar and
-    stamps its verdict into the ["diff"] ledger record.  Drives
-    [siesta diff] and the report's Fidelity/Correctness sections. *)
-
-(** {1 Incremental cache}
-
-    Stage-level memoization over the content-addressed artifact store
-    ({!Siesta_store.Store}).  Each stage's output is bound to a key
-    hashing exactly the inputs that influence it (see [Cache]):
+    The pipeline runs as trace stage -> merge -> proxy search.  Every
+    stage can be memoized in the content-addressed artifact store
+    ({!Siesta_store.Store}); without a store each stage simply runs.
+    With one, each stage's output is bound to a key hashing exactly the
+    inputs that influence it (see [Cache]):
 
     - {e trace}: workload, nranks, iters, seed, platform, impl,
       cluster_threshold;
@@ -219,9 +163,16 @@ type trace_stage = {
       (** run measurements (elapsed, calls, raw bytes) — cached with the
           trace, so reports need no engine re-run *)
   ts_table : Siesta_trace.Compute_table.t;
-  ts_hash : string option;  (** trace blob content hash (caching on) *)
+      (** restored from the packed centroids on every path, so a
+          store-less, a cold and a warm run search the same proxies *)
+  ts_hash : string option;
+      (** trace blob content hash — [Some] exactly when the stage went
+          through a store *)
   ts_outcome : cache_outcome;
-  ts_traced : traced option;  (** the live run, on miss / cache-off *)
+  ts_traced : traced option;
+      (** the live run (recorder, bare and instrumented results) —
+          [Some] whenever this call ran the tracer: always without a
+          store, on a miss with one *)
   ts_timings : (string * float) list;
 }
 
@@ -231,11 +182,15 @@ val trace_stage :
   ?mode:Siesta_trace.Recorder.mode ->
   spec ->
   trace_stage
-(** The trace stage with optional memoization.  [cache] defaults to
-    false (always run); [store] defaults to opening
-    {!Siesta_store.Store.default_root}.  [mode] is the recorder mode on
-    a live run (default streamed); it does not enter the cache key,
-    because both modes produce the identical packed trace. *)
+(** Trace the workload, or restore its trace from the store.  [cache]
+    defaults to false (always run the tracer); with [~cache:true],
+    [store] defaults to opening {!Siesta_store.Store.default_root}.
+    [mode] is the recorder mode on a live run (default
+    {!Siesta_trace.Recorder.Streamed}); it does not enter the cache key,
+    because both modes encode the identical event sequence and the
+    merge canonicalizes terminal numbering, so the proxy is
+    byte-identical either way (the [make check] smoke asserts this at
+    10⁶-event scale).  Appends one ["trace"] ledger record. *)
 
 type synthesis = {
   sy_trace : trace_stage;
@@ -243,11 +198,37 @@ type synthesis = {
   sy_proxy : Siesta_synth.Proxy_ir.t;
   sy_factor : float;
   sy_merge_sched : merge_sched option;
-      (** [None] when the merge was served from cache (no pool ran) *)
+      (** [None] when the merge was served from cache or ran without a
+          domain pool (sequential path, e.g. [~domains:1]) *)
   sy_timings : (string * float) list;
-      (** cached stages appear as "<stage>.cached" lookup times *)
+      (** the trace stage's rows, then "merge" and "synthesize" (each
+          followed by "<stage>.store" on a cache miss); a stage served
+          from the store appears as one "<stage>.cached" lookup row *)
   sy_status : cache_status;
 }
+
+val synthesize :
+  ?store:Siesta_store.Store.t ->
+  ?factor:float ->
+  ?rle:bool ->
+  ?domains:int ->
+  trace_stage ->
+  synthesis
+(** Merge the per-rank grammars and search computation proxies.
+    [factor] (default 1) produces a shrunk proxy; [rle] (default true)
+    controls the Sequitur run-length constraint (ablation); [domains]
+    sizes the merge stage's domain pool.  Default ([None]) borrows the
+    process-wide warm pool ({!Siesta_util.Parallel.global}), whose
+    implicit sizing is clamped to the host's recommended domain count —
+    repeated calls pay no [Domain.spawn].  An explicit [~domains:d] with
+    [d > 1] creates a raw transient pool of exactly [d] domains (no
+    clamp; the determinism cross-checks rely on it); [~domains:1] forces
+    the sequential path.
+
+    The merge and proxy stages are memoized in [store] exactly when the
+    trace stage was ([ts_hash] is [Some _]); pass the store the trace
+    stage used.  Without a store, or for a trace stage that ran without
+    one, both stages simply run.  Appends one ["synth"] ledger record. *)
 
 val synthesize_spec :
   ?cache:bool ->
@@ -258,18 +239,39 @@ val synthesize_spec :
   ?mode:Siesta_trace.Recorder.mode ->
   spec ->
   synthesis
-(** The whole pipeline with optional stage memoization.  With
-    [~cache:false] (the default) this is exactly
-    [synthesize (trace s)] repackaged; with [~cache:true] each stage
-    first consults the store.  Decoded artifacts are
-    {!Siesta_merge.Merged.equal} to freshly computed ones and generate
-    byte-identical C (qcheck-enforced). *)
+(** {!trace_stage} then {!synthesize}, with the same [cache]/[store]
+    defaults, appending a single ["synth"] ledger record.  Decoded
+    artifacts are {!Siesta_merge.Merged.equal} to freshly computed ones
+    and the C proxy is byte-identical with and without the store
+    (golden-hash and qcheck-enforced). *)
 
-val synthesis_of_artifact : artifact -> synthesis
-(** Repackage a cold [artifact] (all stages [Cache_off]). *)
+val run_proxy :
+  synthesis ->
+  platform:Siesta_platform.Spec.t ->
+  impl:Siesta_platform.Mpi_impl.t ->
+  Siesta_mpi.Engine.result
+(** Execute the proxy on an arbitrary platform/implementation pair.  The
+    returned elapsed time is the raw proxy time; multiply by
+    [sy_factor] to estimate the original. *)
+
+type fidelity = {
+  f_original : Siesta_analysis.Divergence.capture;
+  f_proxy : Siesta_analysis.Divergence.capture;
+  f_report : Siesta_analysis.Divergence.report;
+  f_check : Siesta_analysis.Comm_check.report;
+      (** static communication check of the merged grammar *)
+  f_timings : (string * float) list;
+      (** wall seconds of the "check", "capture.original",
+          "capture.proxy" and "diff" steps, in that order *)
+}
 
 val diff_synthesis : synthesis -> fidelity
-(** {!diff} over a cached synthesis. *)
+(** Capture original and proxy on the generation platform, diff them, and
+    publish the headline scores as [Siesta_obs.Metrics] gauges (a no-op
+    when the registry is disabled).  Also runs the static communication
+    check ({!Siesta_analysis.Comm_check}) over the merged grammar and
+    stamps its verdict into the ["diff"] ledger record.  Drives
+    [siesta diff] and the report's Fidelity/Correctness sections. *)
 
 val check_synthesis :
   ?fault:Siesta_analysis.Comm_check.fault -> synthesis -> Siesta_analysis.Comm_check.report

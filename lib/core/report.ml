@@ -18,13 +18,11 @@ module Trace_io = Siesta_trace.Trace_io
 
 let pct x = Printf.sprintf "%.2f%%" (100.0 *. x)
 
-(* The report is generated from a [Pipeline.synthesis], which exists in
-   two flavours: a cold one wrapping a live traced run, and a cached one
-   whose trace stage is a decoded blob plus stored run measurements.
-   Everything below reads only what both flavours carry — streams,
-   centroids, meta — plus the fidelity captures (which re-run both
-   programs under the simulated clock and reproduce the original run's
-   [Engine.result] exactly; runs are deterministic per seed). *)
+(* The report reads only what every [Pipeline.synthesis] carries, live
+   or served from the store — streams, centroids, meta — plus the
+   fidelity captures (which re-run both programs under the simulated
+   clock and reproduce the original run's [Engine.result] exactly; runs
+   are deterministic per seed). *)
 let generate_synthesis (sy : Pipeline.synthesis) =
   let ts = sy.Pipeline.sy_trace in
   let spec = ts.Pipeline.ts_spec in
@@ -159,12 +157,13 @@ let generate_synthesis (sy : Pipeline.synthesis) =
                 sp.sp_fidelity.lf_max_compute_mean sp.sp_proxy_bytes sp.sp_search_s)
             r.r_sweep));
   p "\n## Pipeline stage timings\n\n";
-  let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 sy.Pipeline.sy_timings in
+  let rows = sy.Pipeline.sy_timings @ fid.Pipeline.f_timings in
+  let total = List.fold_left (fun acc (_, s) -> acc +. s) 0.0 rows in
   p "| stage | wall (s) | share |\n|---|---|---|\n";
   List.iter
     (fun (name, s) ->
       p "| %s | %.4f | %s |\n" name s (if total > 0.0 then pct (s /. total) else "-"))
-    sy.Pipeline.sy_timings;
+    rows;
   p "| total | %.4f | |\n" total;
   p "\n(one clock source — `Siesta_obs.Clock` — shared with `--trace-out` spans and the bench drivers; \"<stage>.cached\" rows are store lookups that replaced the stage)\n";
   (match sy.Pipeline.sy_merge_sched with
@@ -200,11 +199,8 @@ let generate_synthesis (sy : Pipeline.synthesis) =
              (fun (m, e) -> Printf.sprintf "%s %s" (Counters.metric_name m) (pct e))
              (Evaluate.per_metric_errors ~original:original_run ~proxy:proxy_run)))
    end);
-  (match fid.Pipeline.f_check with
-  | None -> ()
-  | Some ck ->
-      p "\n## Correctness (static check)\n\n";
-      Buffer.add_string buf (Siesta_analysis.Comm_check.to_markdown ck));
+  p "\n## Correctness (static check)\n\n";
+  Buffer.add_string buf (Siesta_analysis.Comm_check.to_markdown fid.Pipeline.f_check);
   p "\n## Fidelity (simulated clock)\n\n";
   Buffer.add_string buf (Divergence.to_markdown fid.Pipeline.f_report);
   p "\n### Critical path (original run)\n\n```\n%s```\n"
@@ -214,14 +210,6 @@ let generate_synthesis (sy : Pipeline.synthesis) =
   p "\n### Per-rank simulated-time breakdown (original run)\n\n```\n%s```\n"
     (Timeline.render fid.Pipeline.f_original.Divergence.c_timeline);
   Buffer.contents buf
-
-let generate (art : Pipeline.artifact) =
-  generate_synthesis (Pipeline.synthesis_of_artifact art)
-
-let write_file art ~path =
-  let oc = open_out path in
-  output_string oc (generate art);
-  close_out oc
 
 let write_file_synthesis sy ~path =
   let oc = open_out path in

@@ -19,19 +19,20 @@ let test_spec_constructor_validates () =
       ignore (Pipeline.spec ~workload:"LULESH" ~nranks:16 ()))
 
 let test_trace_produces_overhead () =
-  let traced = Pipeline.trace (small_spec ()) in
+  let ts = Pipeline.trace_stage (small_spec ()) in
+  let traced = Option.get ts.Pipeline.ts_traced in
   Alcotest.(check bool) "overhead nonnegative" true (traced.Pipeline.overhead >= 0.0);
   Alcotest.(check bool) "overhead small" true (traced.Pipeline.overhead < 0.2);
   Alcotest.(check bool) "instrumented at least as slow" true
     (traced.Pipeline.instrumented.E.elapsed >= traced.Pipeline.original.E.elapsed)
 
 let full_artifact ?workload ?nranks () =
-  Pipeline.synthesize (Pipeline.trace (small_spec ?workload ?nranks ()))
+  Pipeline.synthesize (Pipeline.trace_stage (small_spec ?workload ?nranks ()))
 
 let test_synthesize_validates () =
   let art = full_artifact () in
-  Siesta_merge.Merged.validate art.Pipeline.merged;
-  Alcotest.(check (float 1e-9)) "factor 1" 1.0 art.Pipeline.factor
+  Siesta_merge.Merged.validate art.Pipeline.sy_merged;
+  Alcotest.(check (float 1e-9)) "factor 1" 1.0 art.Pipeline.sy_factor
 
 let test_table3_row_sane () =
   let art = full_artifact () in
@@ -45,8 +46,9 @@ let test_proxy_time_error_small_each_workload () =
   List.iter
     (fun workload ->
       let spec = small_spec ~workload () in
-      let traced = Pipeline.trace spec in
-      let art = Pipeline.synthesize traced in
+      let ts = Pipeline.trace_stage spec in
+      let traced = Option.get ts.Pipeline.ts_traced in
+      let art = Pipeline.synthesize ts in
       let proxy =
         Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl
       in
@@ -63,13 +65,14 @@ let test_proxy_comm_lossless_each_workload () =
   List.iter
     (fun workload ->
       let spec = small_spec ~workload () in
-      let traced = Pipeline.trace spec in
-      let art = Pipeline.synthesize traced in
+      let ts = Pipeline.trace_stage spec in
+      let traced = Option.get ts.Pipeline.ts_traced in
+      let art = Pipeline.synthesize ts in
       let recorder2 = Recorder.create ~nranks:16 () in
       ignore
         (E.run ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl ~nranks:16
            ~hook:(Recorder.hook recorder2)
-           (Siesta_synth.Proxy_ir.program art.Pipeline.proxy));
+           (Siesta_synth.Proxy_ir.program art.Pipeline.sy_proxy));
       let comm_keys r rank =
         Recorder.events r rank |> Array.to_list
         |> List.filter (fun e -> not (Event.is_compute e))
@@ -83,17 +86,19 @@ let test_proxy_comm_lossless_each_workload () =
 
 let test_counter_error_small () =
   let spec = small_spec ~workload:"MG" () in
-  let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
+  let ts = Pipeline.trace_stage spec in
+  let traced = Option.get ts.Pipeline.ts_traced in
+  let art = Pipeline.synthesize ts in
   let proxy = Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
   let err = Evaluate.counter_error ~original:traced.Pipeline.original ~proxy in
   Alcotest.(check bool) (Printf.sprintf "counter error %.2f%%" (100.0 *. err)) true (err < 0.05)
 
 let test_scaled_pipeline () =
   let spec = small_spec ~workload:"BT" () in
-  let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize ~factor:10.0 traced in
-  Alcotest.(check (float 1e-9)) "factor recorded" 10.0 art.Pipeline.factor;
+  let ts = Pipeline.trace_stage spec in
+  let traced = Option.get ts.Pipeline.ts_traced in
+  let art = Pipeline.synthesize ~factor:10.0 ts in
+  Alcotest.(check (float 1e-9)) "factor recorded" 10.0 art.Pipeline.sy_factor;
   let proxy = Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
   let est = 10.0 *. proxy.E.elapsed in
   let err = Evaluate.time_error ~estimated:est ~original:traced.Pipeline.original.E.elapsed in
@@ -103,8 +108,8 @@ let test_scaled_pipeline () =
 
 let test_cross_platform_portability () =
   let spec = small_spec ~workload:"CG" () in
-  let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
+  let ts = Pipeline.trace_stage spec in
+  let art = Pipeline.synthesize ts in
   List.iter
     (fun platform ->
       let original = (Pipeline.run_original spec ~platform ~impl:Impl.openmpi).E.elapsed in
@@ -116,8 +121,8 @@ let test_cross_platform_portability () =
 
 let test_cross_impl_portability () =
   let spec = small_spec ~workload:"IS" () in
-  let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
+  let ts = Pipeline.trace_stage spec in
+  let art = Pipeline.synthesize ts in
   List.iter
     (fun impl ->
       let original =
@@ -132,8 +137,9 @@ let test_cross_impl_portability () =
 let test_btio_pipeline_end_to_end () =
   (* the I/O extension: BT-IO traces, synthesizes, and replays losslessly *)
   let spec = Pipeline.spec ~iters:5 ~workload:"BT-IO" ~nranks:16 () in
-  let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
+  let ts = Pipeline.trace_stage spec in
+  let traced = Option.get ts.Pipeline.ts_traced in
+  let art = Pipeline.synthesize ts in
   let proxy = Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
   let terr =
     Evaluate.time_error ~estimated:proxy.E.elapsed
@@ -145,7 +151,7 @@ let test_btio_pipeline_end_to_end () =
   ignore
     (E.run ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl ~nranks:16
        ~hook:(Recorder.hook recorder2)
-       (Siesta_synth.Proxy_ir.program art.Pipeline.proxy));
+       (Siesta_synth.Proxy_ir.program art.Pipeline.sy_proxy));
   let comm_keys r rank =
     Recorder.events r rank |> Array.to_list
     |> List.filter (fun e -> not (Event.is_compute e))
@@ -158,7 +164,7 @@ let test_btio_pipeline_end_to_end () =
       (comm_keys recorder2 rank)
   done;
   (* the generated C contains the MPI-IO calls *)
-  let c = Siesta_synth.Codegen_c.generate art.Pipeline.proxy in
+  let c = Siesta_synth.Codegen_c.generate art.Pipeline.sy_proxy in
   let contains sub =
     let n = String.length c and m = String.length sub in
     let rec go i = i + m <= n && (String.sub c i m = sub || go (i + 1)) in
@@ -169,12 +175,12 @@ let test_btio_pipeline_end_to_end () =
     [ "MPI_File_open"; "MPI_File_write_all"; "MPI_File_read_all"; "MPI_File_close" ]
 
 let test_rle_ablation_hook () =
-  let traced = Pipeline.trace (small_spec ()) in
-  let with_rle = Pipeline.synthesize ~rle:true traced in
-  let without = Pipeline.synthesize ~rle:false traced in
+  let ts = Pipeline.trace_stage (small_spec ()) in
+  let with_rle = Pipeline.synthesize ~rle:true ts in
+  let without = Pipeline.synthesize ~rle:false ts in
   (* both lossless; sizes may differ *)
-  Siesta_merge.Merged.validate with_rle.Pipeline.merged;
-  Siesta_merge.Merged.validate without.Pipeline.merged
+  Siesta_merge.Merged.validate with_rle.Pipeline.sy_merged;
+  Siesta_merge.Merged.validate without.Pipeline.sy_merged
 
 let test_nbc_pipeline_end_to_end () =
   (* non-blocking collectives flow through trace -> merge -> proxy -> C *)
@@ -226,8 +232,9 @@ let test_nbc_pipeline_end_to_end () =
 
 let test_per_metric_errors () =
   let spec = small_spec () in
-  let traced = Pipeline.trace spec in
-  let art = Pipeline.synthesize traced in
+  let ts = Pipeline.trace_stage spec in
+  let traced = Option.get ts.Pipeline.ts_traced in
+  let art = Pipeline.synthesize ts in
   let proxy = Pipeline.run_proxy art ~platform:spec.Pipeline.platform ~impl:spec.Pipeline.impl in
   let breakdown =
     Evaluate.per_metric_errors ~original:traced.Pipeline.original ~proxy
@@ -243,7 +250,7 @@ let test_per_metric_errors () =
 
 let test_report_generation () =
   let art = full_artifact () in
-  let report = Siesta.Report.generate art in
+  let report = Siesta.Report.generate_synthesis art in
   List.iter
     (fun needle ->
       let n = String.length report and m = String.length needle in

@@ -13,7 +13,8 @@ let impl = Siesta_platform.Mpi_impl.openmpi
 
 let trace_of_workload workload nranks =
   let s = Siesta.Pipeline.spec ~workload ~nranks () in
-  let traced = Siesta.Pipeline.trace s in
+  let ts = Siesta.Pipeline.trace_stage s in
+  let traced = Option.get ts.Siesta.Pipeline.ts_traced in
   Trace_io.of_recorder traced.Siesta.Pipeline.recorder
 
 (* a hand-rolled scale-regular ring program: volumes shrink as 1/P *)

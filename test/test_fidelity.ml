@@ -193,11 +193,11 @@ let test_self_diff_zero () =
 let artifact =
   lazy
     (let s = Pipeline.spec ~workload:"CG" ~nranks:8 () in
-     Pipeline.synthesize (Pipeline.trace s))
+     Pipeline.synthesize_spec s)
 
 let test_pipeline_diff_lossless () =
   let art = Lazy.force artifact in
-  let fid = Pipeline.diff art in
+  let fid = Pipeline.diff_synthesis art in
   let r = fid.Pipeline.f_report in
   Alcotest.(check bool) "lossless comm replay" true r.Divergence.r_lossless;
   Alcotest.(check int) "six metrics" 6 (List.length r.Divergence.r_compute_errors);
@@ -211,8 +211,8 @@ let test_pipeline_diff_lossless () =
 
 let test_perturbed_diff_detected () =
   let art = Lazy.force artifact in
-  let bad = { art with Pipeline.proxy = Divergence.perturb `Comm art.Pipeline.proxy } in
-  let fid = Pipeline.diff bad in
+  let bad = { art with Pipeline.sy_proxy = Divergence.perturb `Comm art.Pipeline.sy_proxy } in
+  let fid = Pipeline.diff_synthesis bad in
   let r = fid.Pipeline.f_report in
   Alcotest.(check bool) "not lossless" false r.Divergence.r_lossless;
   Alcotest.(check bool) "has reasons" true (r.Divergence.r_reasons <> []);
@@ -230,8 +230,8 @@ let test_perturbed_diff_detected () =
 
 let test_perturb_compute () =
   let art = Lazy.force artifact in
-  let bad = { art with Pipeline.proxy = Divergence.perturb `Compute art.Pipeline.proxy } in
-  let fid = Pipeline.diff bad in
+  let bad = { art with Pipeline.sy_proxy = Divergence.perturb `Compute art.Pipeline.sy_proxy } in
+  let fid = Pipeline.diff_synthesis bad in
   let r = fid.Pipeline.f_report in
   Alcotest.(check bool) "comm still lossless" true r.Divergence.r_lossless;
   match Divergence.verdict ~compute_tolerance:0.05 r with
@@ -245,9 +245,9 @@ let test_perturb_compute () =
 
 let test_rule_attribution_sums () =
   let art = Lazy.force artifact in
-  let cap = Pipeline.capture_original art.Pipeline.traced.Pipeline.run_spec in
+  let cap = Pipeline.capture_original art.Pipeline.sy_trace.Pipeline.ts_spec in
   let cp =
-    Critical_path.compute ~merged:art.Pipeline.merged cap.Divergence.c_timeline
+    Critical_path.compute ~merged:art.Pipeline.sy_merged cap.Divergence.c_timeline
   in
   let sum l = List.fold_left (fun a (_, s) -> a +. s) 0.0 l in
   Alcotest.(check bool) "rule attribution present" true (cp.Critical_path.by_rule <> []);

@@ -119,9 +119,8 @@ let test_dot_export_empty_grammar () =
 
 let test_report_with_scaling_factor () =
   let spec = Siesta.Pipeline.spec ~iters:3 ~workload:"IS" ~nranks:8 () in
-  let traced = Siesta.Pipeline.trace spec in
-  let art = Siesta.Pipeline.synthesize ~factor:5.0 traced in
-  let report = Siesta.Report.generate art in
+  let art = Siesta.Pipeline.synthesize_spec ~factor:5.0 spec in
+  let report = Siesta.Report.generate_synthesis art in
   let contains needle =
     let n = String.length report and m = String.length needle in
     let rec go i = i + m <= n && (String.sub report i m = needle || go (i + 1)) in

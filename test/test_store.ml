@@ -151,9 +151,11 @@ let test_frame_rejects_schema_bump () =
 (* ------------------------------------------------------------------ *)
 (* Stage-artifact codecs *)
 
-let traced_once =
+let stage_once =
   (* One real traced run, shared across tests (tracing is the slow part). *)
-  lazy (Pipeline.trace (small_spec ()))
+  lazy (Pipeline.trace_stage (small_spec ()))
+
+let traced_once = lazy (Option.get (Lazy.force stage_once).Pipeline.ts_traced)
 
 let meta_of traced =
   let open Siesta_mpi.Engine in
@@ -261,18 +263,18 @@ let test_codec_grammars_roundtrip () =
   let gs' = Codec.decode_grammars (Codec.encode_grammars gs) in
   Alcotest.(check bool) "structural equality" true (gs = gs')
 
-let artifact_once = lazy (Pipeline.synthesize (Lazy.force traced_once))
+let artifact_once = lazy (Pipeline.synthesize (Lazy.force stage_once))
 
 let test_codec_merged_roundtrip () =
   let art = Lazy.force artifact_once in
-  let m = art.Pipeline.merged in
+  let m = art.Pipeline.sy_merged in
   let m' = Codec.decode_merged (Codec.encode_merged m) in
   Alcotest.(check bool) "Merged.equal" true (Merged.equal m m');
   Merged.validate m'
 
 let test_codec_proxy_roundtrip () =
   let art = Lazy.force artifact_once in
-  let p = art.Pipeline.proxy in
+  let p = art.Pipeline.sy_proxy in
   let p' = Codec.decode_proxy (Codec.encode_proxy p) in
   Alcotest.(check bool) "merged" true (Merged.equal p.Proxy_ir.merged p'.Proxy_ir.merged);
   Alcotest.(check bool) "combos bit-exact" true
@@ -474,19 +476,29 @@ let test_cached_synthesis_end_to_end () =
   let g = Store.gc st in
   Alcotest.(check int) "no unreferenced blobs" 0 g.Store.swept
 
-let test_cache_off_matches_legacy () =
+let test_cache_off_matches_staged_calls () =
   let s = small_spec () in
   let sy = Pipeline.synthesize_spec s in
-  Alcotest.(check string) "off" "off"
-    (Pipeline.outcome_name sy.Pipeline.sy_status.Pipeline.cs_trace);
+  List.iter
+    (fun o -> Alcotest.(check string) "off" "off" (Pipeline.outcome_name o))
+    [
+      sy.Pipeline.sy_status.Pipeline.cs_trace;
+      sy.Pipeline.sy_status.Pipeline.cs_merge;
+      sy.Pipeline.sy_status.Pipeline.cs_proxy;
+    ];
   Alcotest.(check bool) "no store root" true (sy.Pipeline.sy_status.Pipeline.cs_root = None);
+  Alcotest.(check bool) "no trace hash" true (sy.Pipeline.sy_trace.Pipeline.ts_hash = None);
+  Alcotest.(check bool) "live run kept" true (sy.Pipeline.sy_trace.Pipeline.ts_traced <> None);
   let art = Lazy.force artifact_once in
-  Alcotest.(check bool) "same merged as legacy path" true
-    (Merged.equal art.Pipeline.merged sy.Pipeline.sy_merged)
+  Alcotest.(check bool) "same merged as trace_stage + synthesize" true
+    (Merged.equal art.Pipeline.sy_merged sy.Pipeline.sy_merged);
+  Alcotest.(check string) "same C as trace_stage + synthesize"
+    (Codegen_c.generate art.Pipeline.sy_proxy)
+    (Codegen_c.generate sy.Pipeline.sy_proxy)
 
 let prop_cached_equals_cold =
   (* For random small specs: a cold cached run and the subsequent warm run
-     agree with the uncached pipeline — same merged program, same C. *)
+     agree with the store-less pipeline — same merged program, same C. *)
   QCheck.Test.make ~count:4 ~name:"cached synthesis equals cold synthesis"
     (QCheck.make
        ~print:(fun (w, n, seed) -> Printf.sprintf "%s/%d/seed=%d" w n seed)
@@ -506,6 +518,9 @@ let prop_cached_equals_cold =
       && warm.Pipeline.sy_status.Pipeline.cs_trace = Pipeline.Cache_hit
       && warm.Pipeline.sy_status.Pipeline.cs_merge = Pipeline.Cache_hit
       && warm.Pipeline.sy_status.Pipeline.cs_proxy = Pipeline.Cache_hit
+      && String.equal
+           (Codegen_c.generate plain.Pipeline.sy_proxy)
+           (Codegen_c.generate cold.Pipeline.sy_proxy)
       && String.equal
            (Codegen_c.generate cold.Pipeline.sy_proxy)
            (Codegen_c.generate warm.Pipeline.sy_proxy))
@@ -589,7 +604,7 @@ let suite =
     ("store gc sweeps exactly the unreferenced", `Quick, test_store_gc_sweeps_exactly_unreferenced);
     ("cache key sensitivity", `Quick, test_cache_key_sensitivity);
     ("cached synthesis end to end", `Quick, test_cached_synthesis_end_to_end);
-    ("cache off matches legacy pipeline", `Quick, test_cache_off_matches_legacy);
+    ("cache off equals staged trace+synthesize", `Quick, test_cache_off_matches_staged_calls);
     ("corrupt cache degrades to a miss", `Quick, test_corrupt_cache_degrades_to_miss);
     ("concurrent writers leave a clean store", `Quick, test_store_concurrent_writers);
     QCheck_alcotest.to_alcotest prop_varint_roundtrip;

@@ -319,13 +319,13 @@ let test_store_blob_rejected_by_text_loader () =
 
 let test_end_to_end_streamed_equals_boxed () =
   let s = Pipeline.spec ~iters:3 ~seed:42 ~workload:"CG" ~nranks:8 () in
-  let streamed = Pipeline.synthesize (Pipeline.trace ~mode:Recorder.Streamed s) in
-  let boxed = Pipeline.synthesize (Pipeline.trace ~mode:Recorder.Boxed s) in
+  let streamed = Pipeline.synthesize (Pipeline.trace_stage ~mode:Recorder.Streamed s) in
+  let boxed = Pipeline.synthesize (Pipeline.trace_stage ~mode:Recorder.Boxed s) in
   Alcotest.(check bool) "merged programs equal" true
-    (Merged.equal streamed.Pipeline.merged boxed.Pipeline.merged);
+    (Merged.equal streamed.Pipeline.sy_merged boxed.Pipeline.sy_merged);
   Alcotest.(check string) "byte-identical C"
-    (Codegen_c.generate boxed.Pipeline.proxy)
-    (Codegen_c.generate streamed.Pipeline.proxy)
+    (Codegen_c.generate boxed.Pipeline.sy_proxy)
+    (Codegen_c.generate streamed.Pipeline.sy_proxy)
 
 let test_packed_memory_scales_with_defs () =
   (* the streaming claim at unit scale: the packed trace's GC-visible
