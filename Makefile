@@ -4,6 +4,7 @@ SMOKE_TRACE := /tmp/siesta_smoke_trace.json
 SMOKE_TIMELINE := /tmp/siesta_smoke_timeline.json
 SMOKE_TIMELINE_HTML := /tmp/siesta_smoke_timeline.html
 SMOKE_PROXY := /tmp/siesta_smoke_proxy.c
+SMOKE_PROXY_PLAIN := /tmp/siesta_smoke_proxy_plain.c
 SMOKE_PROXY_WARM := /tmp/siesta_smoke_proxy_warm.c
 SMOKE_METRICS := /tmp/siesta_smoke_metrics.json
 SMOKE_STORE := /tmp/siesta_smoke_store
@@ -19,7 +20,7 @@ SMOKE_SERVE_LOG := /tmp/siesta_smoke_serve.log
 SMOKE_SERVE_BLOB := /tmp/siesta_smoke_serve_blob.bin
 SMOKE_SERVE_METRICS := /tmp/siesta_smoke_serve_metrics.json
 
-.PHONY: all build test check smoke bench-check bench-quick clean
+.PHONY: all build test check smoke perfbench-smoke bench-check bench-quick clean
 
 all: build
 
@@ -30,12 +31,13 @@ test:
 	dune runtest
 
 # build + full test suite + a CLI smoke run that exercises the
-# --trace-out/--timeline-out paths end-to-end + the strict bench gate.
-check: build test smoke bench-check
+# --trace-out/--timeline-out paths end-to-end + the repository
+# benchmark's reduced-size smoke test + the strict bench gate.
+check: build test smoke perfbench-smoke bench-check
 
 smoke: build
 	dune exec bin/siesta_cli.exe -- synth CG -n 8 \
-		--trace-out $(SMOKE_TRACE) -o $(SMOKE_PROXY)
+		--trace-out $(SMOKE_TRACE) -o $(SMOKE_PROXY_PLAIN)
 	dune exec bin/siesta_cli.exe -- check-trace $(SMOKE_TRACE) \
 		--min-stage-spans 5
 	dune exec bin/siesta_cli.exe -- trace CG -n 8 \
@@ -47,12 +49,14 @@ smoke: build
 		--timeline-html $(SMOKE_TIMELINE_HTML)
 	@grep -q 'timeline-data' $(SMOKE_TIMELINE_HTML) \
 		|| { echo "smoke: timeline HTML missing its data block" >&2; exit 1; }
-	@# Incremental cache: a cold run populates the store, the warm run
-	@# must report cache hits and reproduce the proxy byte-for-byte,
-	@# and the store it built must verify clean with nothing to sweep.
+	@# Incremental cache: a cold run populates the store and must emit
+	@# the store-less proxy byte-for-byte, the warm run must report
+	@# cache hits and reproduce it too, and the store it built must
+	@# verify clean with nothing to sweep.
 	rm -rf $(SMOKE_STORE)
 	SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- synth CG -n 8 \
 		--cache -o $(SMOKE_PROXY)
+	cmp $(SMOKE_PROXY_PLAIN) $(SMOKE_PROXY)
 	SIESTA_STORE=$(SMOKE_STORE) dune exec bin/siesta_cli.exe -- synth CG -n 8 \
 		--cache -o $(SMOKE_PROXY_WARM) --metrics-out $(SMOKE_METRICS)
 	@grep -Eq '"cache\.hits": \{"type": "counter", "value": [1-9]' $(SMOKE_METRICS) \
@@ -176,12 +180,18 @@ smoke: build
 	[ ! -e $(SMOKE_SERVE_SOCK) ] || { echo "smoke: serve daemon left its socket behind" >&2; exit 1; }; \
 	echo "smoke: serve cold job + coalesced id + warm all-hit replay + blob cmp + clean SIGTERM drain OK"
 	@rm -f $(SMOKE_TRACE) $(SMOKE_TIMELINE) $(SMOKE_TIMELINE_HTML) \
-		$(SMOKE_PROXY) $(SMOKE_PROXY_WARM) $(SMOKE_METRICS) \
+		$(SMOKE_PROXY) $(SMOKE_PROXY_PLAIN) $(SMOKE_PROXY_WARM) $(SMOKE_METRICS) \
 		$(SMOKE_PROXY_STREAMED) $(SMOKE_PROXY_BOXED) $(SMOKE_TREND_HTML) \
 		$(SMOKE_SWEEP_HTML) $(SMOKE_SWEEP_METRICS) \
 		$(SMOKE_SERVE_SOCK) $(SMOKE_SERVE_LOG) $(SMOKE_SERVE_BLOB) \
 		$(SMOKE_SERVE_METRICS)
 	@rm -rf $(SMOKE_STORE) $(SMOKE_SWEEP_STORE) $(SMOKE_SERVE_STORE)
+
+# The repository benchmark (BENCHMARK.json, perfbench/) at reduced size:
+# every workload, traced and untraced, must print every metric with
+# failed = 0 — the only CI run of its public-API composition.
+perfbench-smoke: build
+	python3 perfbench/smoke_test.py
 
 # regression gates, failing the build instead of printing a warning:
 # telemetry overhead budget (<= 3%), parallel-merge determinism,

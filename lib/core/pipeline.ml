@@ -244,7 +244,7 @@ let ledger_fidelity_of_report ?verdict (r : Divergence.report) =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Incremental cache (content-addressed artifact store) *)
+(* Staged pipeline; the content-addressed artifact store is optional *)
 
 type cache_outcome = Cache_off | Cache_miss | Cache_hit
 
@@ -334,10 +334,10 @@ let log_stage_outcome stg s outcome =
 
 type ('a, 'x) memoized = {
   m_value : 'a;
-  m_hash : string option;  (** blob content hash, when memoized *)
+  m_hash : string option; (* blob content hash, when memoized *)
   m_outcome : cache_outcome;
   m_timings : (string * float) list;
-  m_extra : 'x option;  (** [compute]'s by-product, when it ran *)
+  m_extra : 'x option; (* [compute]'s by-product, when it ran *)
 }
 
 (* One pipeline stage, memoized when [cache] carries a store and the
@@ -351,7 +351,13 @@ type ('a, 'x) memoized = {
 let memo cache ~stg ~row ~kind ~decode ~encode s compute =
   let computed outcome =
     let value, extra, timings = compute () in
-    { m_value = value; m_hash = None; m_outcome = outcome; m_timings = timings; m_extra = Some extra }
+    {
+      m_value = value;
+      m_hash = None;
+      m_outcome = outcome;
+      m_timings = timings;
+      m_extra = Some extra;
+    }
   in
   match cache with
   | None -> computed Cache_off
@@ -477,8 +483,8 @@ let synthesize ?store ?(factor = 1.0) ?(rle = true) ?domains ts =
   let proxy =
     memo
       (keyed (fun trace_hash ->
-           Cache.proxy_key ~merge_hash:(Option.get merge.m_hash) ~trace_hash ~factor ~platform:s.platform.Spec_p.name
-             ~impl:s.impl.Mpi_impl.name ()))
+           Cache.proxy_key ~merge_hash:(Option.get merge.m_hash) ~trace_hash ~factor
+             ~platform:s.platform.Spec_p.name ~impl:s.impl.Mpi_impl.name ()))
       ~stg:"proxy" ~row:"synthesize" ~kind:"proxy" ~decode:Codec.decode_proxy
       ~encode:Codec.encode_proxy s
       (fun () ->
