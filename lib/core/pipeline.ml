@@ -460,11 +460,7 @@ let synthesize ?store ?(factor = 1.0) ?(rle = true) ?domains ts =
   let s = ts.ts_spec in
   (* the later stages are memoized exactly when the trace stage was *)
   let store = match ts.ts_hash with Some _ -> store | None -> None in
-  let keyed key =
-    match (store, ts.ts_hash) with
-    | Some st, Some trace_hash -> Some (st, key trace_hash)
-    | _ -> None
-  in
+  let keyed key = Option.map (fun st -> (st, key (Option.get ts.ts_hash))) store in
   let merge =
     memo
       (keyed (fun trace_hash -> Cache.merge_key ~trace_hash ~rle ()))
