@@ -6,6 +6,8 @@ SMOKE_TIMELINE_HTML := /tmp/siesta_smoke_timeline.html
 SMOKE_PROXY := /tmp/siesta_smoke_proxy.c
 SMOKE_PROXY_PLAIN := /tmp/siesta_smoke_proxy_plain.c
 SMOKE_PROXY_WARM := /tmp/siesta_smoke_proxy_warm.c
+SMOKE_DUMP := /tmp/siesta_smoke_dump.txt
+SMOKE_PROXY_FROM := /tmp/siesta_smoke_proxy_from.c
 SMOKE_METRICS := /tmp/siesta_smoke_metrics.json
 SMOKE_STORE := /tmp/siesta_smoke_store
 SMOKE_PROXY_STREAMED := /tmp/siesta_smoke_proxy_streamed.c
@@ -49,6 +51,13 @@ smoke: build
 		--timeline-html $(SMOKE_TIMELINE_HTML)
 	@grep -q 'timeline-data' $(SMOKE_TIMELINE_HTML) \
 		|| { echo "smoke: timeline HTML missing its data block" >&2; exit 1; }
+	@# synth --from reads only the platform pair of the spec, so a rank
+	@# count the workload rejects (CG on 7) must not stop it, and the
+	@# dumped trace must give the store-less proxy byte-for-byte.
+	dune exec bin/siesta_cli.exe -- trace CG -n 8 --dump $(SMOKE_DUMP)
+	dune exec bin/siesta_cli.exe -- synth CG -n 7 --from $(SMOKE_DUMP) \
+		-o $(SMOKE_PROXY_FROM)
+	cmp $(SMOKE_PROXY_PLAIN) $(SMOKE_PROXY_FROM)
 	@# Incremental cache: a cold run populates the store and must emit
 	@# the store-less proxy byte-for-byte, the warm run must report
 	@# cache hits and reproduce it too, and the store it built must

@@ -144,8 +144,7 @@ let ablate_main_clustering () =
 let ablate_loop_constraint () =
   heading "Ablation 5: the QP loop-overhead constraint x11 >= sum(x1..x9)";
   let s = Pipeline.spec ~workload ~nranks () in
-  let ts = Pipeline.trace_stage s in
-  let traced = Option.get ts.Pipeline.ts_traced in
+  let traced = Pipeline.trace s in
   let ct = Recorder.compute_table traced.Pipeline.recorder in
   let platform = s.Pipeline.platform in
   let stats loop_constraint =

@@ -14,8 +14,7 @@ module Event = Siesta_trace.Event
 
 let trace_at workload nranks =
   let s = Pipeline.spec ~workload ~nranks () in
-  let ts = Pipeline.trace_stage s in
-  let traced = Option.get ts.Pipeline.ts_traced in
+  let traced = Pipeline.trace s in
   Trace_io.of_recorder traced.Pipeline.recorder
 
 let comm_only stream =

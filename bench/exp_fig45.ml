@@ -22,8 +22,7 @@ let mean_totals (res : Engine.result) =
 
 let run_one (w : Registry.t) =
   let s = Pipeline.spec ~workload:w.Registry.name ~nranks () in
-  let ts = Pipeline.trace_stage s in
-  let traced = Option.get ts.Pipeline.ts_traced in
+  let traced = Pipeline.trace s in
   let target = mean_totals traced.Pipeline.original in
   let platform = s.Pipeline.platform in
   (* Fig. 4: one event *)

@@ -305,25 +305,8 @@ let measure_streaming () =
   let workload = "CG" and nranks = 16 in
   let small_iters = 750 and large_iters = 3000 in
   let spec iters = Pipeline.spec ~workload ~nranks ~iters () in
-  (* the trace stage's two engine runs (bare, then under the recorder),
-     without packing the trace: this measures the recorder alone *)
-  let trace_mode mode iters =
-    let s = spec iters in
-    let program =
-      s.Pipeline.workload.Siesta_workloads.Registry.program ~nranks ~iters:s.Pipeline.iters
-    in
-    let run ?hook () =
-      Siesta_mpi.Engine.run ~platform:s.Pipeline.platform ~impl:s.Pipeline.impl ~nranks
-        ~seed:s.Pipeline.seed ?hook program
-    in
-    ignore (run ());
-    let recorder =
-      Recorder.create ~nranks ~cluster_threshold:s.Pipeline.cluster_threshold ~mode ()
-    in
-    ignore (run ~hook:(Recorder.hook recorder) ());
-    recorder
-  in
-  let events = Recorder.total_events in
+  let trace_mode mode iters = Pipeline.trace ~mode (spec iters) in
+  let events traced = Recorder.total_events traced.Pipeline.recorder in
   (* retained-heap ladder: streamed small, streamed 4x, then boxed 4x *)
   let tr_small, heap_small = retained_delta (fun () -> trace_mode Recorder.Streamed small_iters) in
   let events_small = events tr_small in
@@ -335,21 +318,23 @@ let measure_streaming () =
      modes are timed to "per-rank grammars built" (see the section
      comment above for why that is the fair milestone) *)
   let eps mode =
-    let (recorder, grammars), s =
+    let (traced, grammars), s =
       wall (fun () ->
-          let recorder = trace_mode mode large_iters in
+          let traced = trace_mode mode large_iters in
           let grammars =
             match mode with
-            | Recorder.Streamed -> Recorder.online_grammars recorder
+            | Recorder.Streamed -> Recorder.online_grammars traced.Pipeline.recorder
             | Recorder.Boxed ->
-                let streams = Array.init nranks (Recorder.events recorder) in
+                let streams =
+                  Array.init nranks (Recorder.events traced.Pipeline.recorder)
+                in
                 let table = Terminal_table.build streams in
                 Array.map (Sequitur.of_seq ~rle:true) (Terminal_table.sequences table)
           in
-          (recorder, grammars))
+          (traced, grammars))
     in
     ignore (Sys.opaque_identity grammars);
-    if s > 0.0 then float_of_int (events recorder) /. s else Float.infinity
+    if s > 0.0 then float_of_int (events traced) /. s else Float.infinity
   in
   let rec attempt k best =
     let streamed = eps Recorder.Streamed in

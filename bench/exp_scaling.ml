@@ -18,8 +18,7 @@ let run () =
         List.map
           (fun nranks ->
             let s = Pipeline.spec ~workload ~nranks () in
-            let ts = Pipeline.trace_stage s in
-            let traced = Option.get ts.Pipeline.ts_traced in
+            let traced = Pipeline.trace s in
             let streams =
               Array.init nranks (Recorder.events traced.Pipeline.recorder)
             in

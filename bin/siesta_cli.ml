@@ -156,19 +156,26 @@ let seed_arg =
 
 (* The run spec shared by the workload subcommands, minus the rank
    count: [at n] resolves it for [n] ranks, exiting 2 with a clean
-   message on an unknown workload or an invalid rank count. *)
-let spec_at_term ?(workload = workload_arg) () =
-  let make workload iters platform impl seed nranks =
-    match Pipeline.spec ?iters ~platform ~impl ~seed ~workload ~nranks () with
-    | s -> s
-    | exception Not_found ->
-        Printf.eprintf "unknown workload %S; try `siesta list`\n" workload;
-        exit 2
-    | exception Invalid_argument m ->
-        Printf.eprintf "%s\n" m;
-        exit 2
+   message on an unknown workload or an invalid rank count.  The
+   platform pair comes back unresolved too, for [synth --from], which
+   reads nothing else. *)
+let spec_args_term ?(workload = workload_arg) () =
+  let make workload iters platform impl seed =
+    let at nranks =
+      match Pipeline.spec ?iters ~platform ~impl ~seed ~workload ~nranks () with
+      | s -> s
+      | exception Not_found ->
+          Printf.eprintf "unknown workload %S; try `siesta list`\n" workload;
+          exit 2
+      | exception Invalid_argument m ->
+          Printf.eprintf "%s\n" m;
+          exit 2
+    in
+    (at, platform, impl)
   in
   Term.(const make $ workload $ iters_arg $ platform_arg $ impl_arg $ seed_arg)
+
+let spec_at_term ?workload () = Term.(const (fun (at, _, _) -> at) $ spec_args_term ?workload ())
 
 (* The full run spec: workload (positional, or [-w] for diff), ranks,
    iterations, platform, implementation and seed. *)
@@ -427,20 +434,22 @@ let synth_cmd =
         Siesta_synth.Codegen_c.write_file proxy ~path;
         Printf.printf "wrote %s\n" path
   in
-  let run obs s output factor from bundle boxed cache_opts =
+  (* the spec is resolved only without --from: a saved trace may have
+     been recorded at a rank count the workload's -n default rejects *)
+  let run obs (at, platform, impl) nranks output factor from bundle boxed cache_opts =
     with_obs obs @@ fun () ->
     match from with
     | Some trace_path ->
         let pk = Siesta_trace.Trace_io.load_packed ~path:trace_path in
         let merged = Siesta_merge.Pipeline.merge_packed pk in
         let proxy =
-          Siesta_synth.Proxy_ir.synthesize ~platform:s.Pipeline.platform ~impl:s.Pipeline.impl
-            ~factor ~merged
+          Siesta_synth.Proxy_ir.synthesize ~platform ~impl ~factor ~merged
             ~compute_table:(Siesta_trace.Trace_io.packed_compute_table pk) ()
         in
         let path = Option.value ~default:(trace_path ^ ".proxy.c") output in
         emit ~proxy ~merged ~path ~bundle
     | None ->
+        let s = at nranks in
         let store = run_store cache_opts in
         let sy =
           Pipeline.synthesize_spec ~cache:cache_opts.cache ?store ~factor
@@ -460,7 +469,7 @@ let synth_cmd =
   in
   Cmd.v (Cmd.info "synth" ~doc:"Synthesize a C proxy-app from a traced execution")
     Term.(
-      const run $ obs_term $ spec_term () $ output_arg
+      const run $ obs_term $ spec_args_term () $ nranks_arg $ output_arg
       $ factor_arg ~doc:"Scaling factor for a shrunk proxy (Section 2.7)." ()
       $ from_arg $ bundle_arg $ boxed_trace_arg $ cache_term)
 
@@ -505,8 +514,7 @@ let analyze_cmd =
   in
   let run obs s heatmap =
     with_obs obs @@ fun () ->
-    let ts = Pipeline.trace_stage s in
-    let recorder = (Option.get ts.Pipeline.ts_traced).Pipeline.recorder in
+    let recorder = (Pipeline.trace s).Pipeline.recorder in
     let m = Siesta_analysis.Comm_matrix.of_recorder recorder in
     Printf.printf "%s on %d ranks:\n" s.Pipeline.workload.Registry.name s.Pipeline.nranks;
     Printf.printf "  p2p traffic : %d messages, %s\n"
@@ -521,7 +529,7 @@ let analyze_cmd =
             (fun (off, c) -> Printf.sprintf "%+d (%d msgs)" off c)
             (List.filteri (fun i _ -> i < 6) offsets)));
     if heatmap then print_string (Siesta_analysis.Comm_matrix.render m);
-    let merged = Siesta_merge.Pipeline.merge_packed ts.Pipeline.ts_trace in
+    let merged = Siesta_merge.Pipeline.merge_recorder recorder in
     print_string (Siesta_analysis.Phases.render merged);
     Siesta_trace.Mpip_report.print (Siesta_trace.Mpip_report.build recorder)
   in
@@ -569,8 +577,7 @@ let extrapolate_cmd =
   let run obs workload spec_at scales target output =
     with_obs obs @@ fun () ->
     let trace_at nranks =
-      let ts = Pipeline.trace_stage (spec_at nranks) in
-      Siesta_trace.Trace_io.of_recorder (Option.get ts.Pipeline.ts_traced).Pipeline.recorder
+      Siesta_trace.Trace_io.of_recorder (Pipeline.trace (spec_at nranks)).Pipeline.recorder
     in
     Printf.printf "tracing %s at %s ranks...\n%!" workload
       (String.concat ", " (List.map string_of_int scales));

@@ -15,8 +15,7 @@ module Merged = Siesta_merge.Merged
 
 let () =
   let spec = Pipeline.spec ~workload:"Sweep3d" ~nranks:8 () in
-  let ts = Pipeline.trace_stage spec in
-  let traced = Option.get ts.Pipeline.ts_traced in
+  let traced = Pipeline.trace spec in
   let recorder = traced.Pipeline.recorder in
   let streams = Array.init 8 (Recorder.events recorder) in
   let table = Terminal_table.build streams in

@@ -18,8 +18,7 @@ let workload = "BT"
 
 let trace_at nranks =
   let s = Siesta.Pipeline.spec ~workload ~nranks () in
-  let ts = Siesta.Pipeline.trace_stage s in
-  Trace_io.of_recorder (Option.get ts.Siesta.Pipeline.ts_traced).Siesta.Pipeline.recorder
+  Trace_io.of_recorder (Siesta.Pipeline.trace s).Siesta.Pipeline.recorder
 
 let () =
   let fit_scales = [ 16; 36; 64 ] in

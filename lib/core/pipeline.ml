@@ -456,10 +456,10 @@ let emit_synth_record sy =
         ~cache ~timings:sy.sy_timings
         ~sched:(sched_kvs sy.sy_merge_sched) ())
 
-let synthesize ?store ?(factor = 1.0) ?(rle = true) ?domains ts =
+(* The merge and proxy stages over [ts], memoized in [store] when given
+   — always the store [ts] itself went through, so [ts_hash] is set. *)
+let synthesize_in store ?(factor = 1.0) ?(rle = true) ?domains ts =
   let s = ts.ts_spec in
-  (* the later stages are memoized exactly when the trace stage was *)
-  let store = match ts.ts_hash with Some _ -> store | None -> None in
   let keyed key = Option.map (fun st -> (st, key (Option.get ts.ts_hash))) store in
   let merge =
     memo
@@ -535,9 +535,11 @@ let synthesize ?store ?(factor = 1.0) ?(rle = true) ?domains ts =
   emit_synth_record sy;
   sy
 
+let synthesize ?factor ?rle ?domains ts = synthesize_in None ?factor ?rle ?domains ts
+
 let synthesize_spec ?(cache = false) ?store ?factor ?rle ?domains ?mode s =
   let store = open_store ~cache store in
-  synthesize ?store ?factor ?rle ?domains (trace_stage_in store ?mode s)
+  synthesize_in store ?factor ?rle ?domains (trace_stage_in store ?mode s)
 
 (* Capture original and proxy, diff them, publish the headline scores
    and append one "diff" ledger record.  Each sub-step's wall seconds are

@@ -56,6 +56,11 @@ type traced = {
     on the generation platform.  {!trace_stage} hands it out as
     [ts_traced] whenever it ran the tracer. *)
 
+val trace : ?mode:Siesta_trace.Recorder.mode -> spec -> traced
+(** The trace stage's live run alone: no packing, no store, no ledger
+    record — for callers that want only the recorder or the bare run.
+    [mode] is as for {!trace_stage}. *)
+
 type merge_sched = {
   ms_requested : int;  (** domain count asked of the scheduler *)
   ms_effective : int;  (** domains actually running after the clamp *)
@@ -208,7 +213,6 @@ type synthesis = {
 }
 
 val synthesize :
-  ?store:Siesta_store.Store.t ->
   ?factor:float ->
   ?rle:bool ->
   ?domains:int ->
@@ -225,10 +229,9 @@ val synthesize :
     clamp; the determinism cross-checks rely on it); [~domains:1] forces
     the sequential path.
 
-    The merge and proxy stages are memoized in [store] exactly when the
-    trace stage was ([ts_hash] is [Some _]); pass the store the trace
-    stage used.  Without a store, or for a trace stage that ran without
-    one, both stages simply run.  Appends one ["synth"] ledger record. *)
+    Both stages simply run, whether or not the trace stage came from the
+    store; {!synthesize_spec} memoizes them.  Appends one ["synth"]
+    ledger record. *)
 
 val synthesize_spec :
   ?cache:bool ->
@@ -240,7 +243,8 @@ val synthesize_spec :
   spec ->
   synthesis
 (** {!trace_stage} then {!synthesize}, with the same [cache]/[store]
-    defaults, appending a single ["synth"] ledger record.  Decoded
+    defaults; with a store, the merge and proxy stages are memoized
+    too.  Appends a single ["synth"] ledger record.  Decoded
     artifacts are {!Siesta_merge.Merged.equal} to freshly computed ones
     and the C proxy is byte-identical with and without the store
     (golden-hash and qcheck-enforced). *)

@@ -13,8 +13,7 @@ let impl = Siesta_platform.Mpi_impl.openmpi
 
 let matrix_of_workload ?(nranks = 64) workload =
   let s = Siesta.Pipeline.spec ~workload ~nranks () in
-  let ts = Siesta.Pipeline.trace_stage s in
-  let traced = Option.get ts.Siesta.Pipeline.ts_traced in
+  let traced = Siesta.Pipeline.trace s in
   Comm_matrix.of_recorder traced.Siesta.Pipeline.recorder
 
 (* hand-built streams: rank r sends 2 x 100 bytes to r+1 *)
@@ -99,8 +98,7 @@ module MPipe = Siesta_merge.Pipeline
 
 let test_phases_detects_iterations () =
   let s = Siesta.Pipeline.spec ~iters:8 ~workload:"MG" ~nranks:16 () in
-  let ts = Siesta.Pipeline.trace_stage s in
-  let traced = Option.get ts.Siesta.Pipeline.ts_traced in
+  let traced = Siesta.Pipeline.trace s in
   let merged = MPipe.merge_recorder traced.Siesta.Pipeline.recorder in
   let phases = Phases.detect merged in
   Alcotest.(check bool) "found phases" true (phases <> []);
@@ -134,8 +132,7 @@ let test_phases_respects_threshold () =
 
 let test_phases_render () =
   let s = Siesta.Pipeline.spec ~iters:6 ~workload:"IS" ~nranks:8 () in
-  let ts = Siesta.Pipeline.trace_stage s in
-  let traced = Option.get ts.Siesta.Pipeline.ts_traced in
+  let traced = Siesta.Pipeline.trace s in
   let merged = MPipe.merge_recorder traced.Siesta.Pipeline.recorder in
   let text = Phases.render merged in
   (* the first iteration's computation clusters differ (cold start), so

@@ -19,8 +19,7 @@ let impl = Mpi_impl.openmpi
 
 let merged_of w nranks =
   let s = Pipeline.spec ~iters:2 ~workload:w.Registry.name ~nranks () in
-  let ts = Pipeline.trace_stage s in
-  let traced = Option.get ts.Pipeline.ts_traced in
+  let traced = Pipeline.trace s in
   MPipe.merge_recorder traced.Pipeline.recorder
 
 (* Same shrunken counts the workload tests use, so the suite stays fast. *)

@@ -19,8 +19,7 @@ let test_spec_constructor_validates () =
       ignore (Pipeline.spec ~workload:"LULESH" ~nranks:16 ()))
 
 let test_trace_produces_overhead () =
-  let ts = Pipeline.trace_stage (small_spec ()) in
-  let traced = Option.get ts.Pipeline.ts_traced in
+  let traced = Pipeline.trace (small_spec ()) in
   Alcotest.(check bool) "overhead nonnegative" true (traced.Pipeline.overhead >= 0.0);
   Alcotest.(check bool) "overhead small" true (traced.Pipeline.overhead < 0.2);
   Alcotest.(check bool) "instrumented at least as slow" true

@@ -13,8 +13,7 @@ let impl = Siesta_platform.Mpi_impl.openmpi
 
 let trace_of_workload workload nranks =
   let s = Siesta.Pipeline.spec ~workload ~nranks () in
-  let ts = Siesta.Pipeline.trace_stage s in
-  let traced = Option.get ts.Siesta.Pipeline.ts_traced in
+  let traced = Siesta.Pipeline.trace s in
   Trace_io.of_recorder traced.Siesta.Pipeline.recorder
 
 (* a hand-rolled scale-regular ring program: volumes shrink as 1/P *)

@@ -323,6 +323,11 @@ let test_end_to_end_streamed_equals_boxed () =
   let boxed = Pipeline.synthesize (Pipeline.trace_stage ~mode:Recorder.Boxed s) in
   Alcotest.(check bool) "merged programs equal" true
     (Merged.equal streamed.Pipeline.sy_merged boxed.Pipeline.sy_merged);
+  (* both sides above merge one packed trace; the boxed recorder's own
+     offline merge builds its terminal numbering independently *)
+  let boxed_recorder = (Option.get boxed.Pipeline.sy_trace.Pipeline.ts_traced).Pipeline.recorder in
+  Alcotest.(check bool) "equals the offline merge of the boxed recorder" true
+    (Merged.equal streamed.Pipeline.sy_merged (MPipe.merge_recorder boxed_recorder));
   Alcotest.(check string) "byte-identical C"
     (Codegen_c.generate boxed.Pipeline.sy_proxy)
     (Codegen_c.generate streamed.Pipeline.sy_proxy)
